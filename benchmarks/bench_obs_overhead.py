@@ -13,10 +13,11 @@ pins that promise on the 10-statement overlapping workload
 
 The acceptance gate is ``disabled overhead < 2%``: the **disabled** arm
 against a **stripped** arm where the tracing wrappers are monkeypatched
-out (``PlanExecutor._run`` → ``_run_node``,
-``EngineExecutor.execute_fused`` → ``_execute_fused``) — i.e. what the
+out (``PlanExecutor._run`` → ``_run_node``) — i.e. what the
 instrumentation costs when nobody is tracing, measured against code
-with the wrappers gone.  Arms are interleaved and min-of-N wall times
+with the wrappers gone.  The engine's fact-pass spans have no separate
+unwrapped path: they call the shared no-op ``NullTracer.span`` in every
+arm.  Arms are interleaved and min-of-N wall times
 are compared, so the margin absorbs scheduler noise.  Results go to
 ``BENCH_PR4.json``.
 
@@ -39,7 +40,6 @@ from pathlib import Path
 from repro.algebra.executor import PlanExecutor
 from repro.api import AssessSession
 from repro.analysis import extract_statements
-from repro.engine.executor import EngineExecutor
 from repro.experiments.statements import prepare_engine
 from repro.obs import tracing
 
@@ -56,14 +56,11 @@ def load_workload() -> list:
 def stripped_instrumentation():
     """Monkeypatch the tracing wrappers out — the pre-instrumentation code."""
     original_run = PlanExecutor._run
-    original_fused = EngineExecutor.execute_fused
     PlanExecutor._run = PlanExecutor._run_node
-    EngineExecutor.execute_fused = EngineExecutor._execute_fused
     try:
         yield
     finally:
         PlanExecutor._run = original_run
-        EngineExecutor.execute_fused = original_fused
 
 
 def run_arm(session: AssessSession, statements, plan: str) -> float:

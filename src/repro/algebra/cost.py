@@ -222,11 +222,11 @@ class Statistics:
     def spill_admitted(self, query: CubeQuery) -> bool:
         """Whether the executor would route this get through the spill tier.
 
-        Mirrors ``EngineExecutor._spill_admits`` (pessimistic grouping-state
-        estimate vs the budget) plus the float-exactness gate: measures
-        whose sums are not exactly re-aggregable make the executor fall
-        back to the serial in-RAM path, so the model must price them
-        serial too.
+        Mirrors the streamed-dispatch test of ``EngineExecutor._dispatch``
+        (pessimistic grouping-state estimate vs the budget) plus the
+        float-exactness gate: measures whose sums are not exactly
+        re-aggregable make the executor run the pass inline in RAM, so
+        the model must price them serial too.
         """
         budget = self.memory_budget()
         if budget is None:

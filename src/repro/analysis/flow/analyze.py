@@ -911,10 +911,10 @@ class WorkloadAnalyzer:
         """Emit ``ASSESS508`` when the executor would provably route the
         statement's target get through the bounded-memory spill tier.
 
-        Mirrors ``EngineExecutor._spill_admits`` — the pessimistic
-        grouping-state estimate against the executor's memory budget —
-        plus the float-exactness gate the spill lowering re-checks at
-        runtime.  Soundness convention: any missing statistic (unknown
+        Mirrors the streamed-dispatch test of ``EngineExecutor._dispatch``
+        — the pessimistic grouping-state estimate against the executor's
+        memory budget — plus the float-exactness gate the dispatch
+        re-checks at runtime.  Soundness convention: any missing statistic (unknown
         budget, unabstractable measure column) keeps the analyzer
         silent, never optimistic.
         """

@@ -22,10 +22,10 @@ comparative cube algebras in the related work) formalise: a cached result
 Derivation then never touches the fact table: cached coordinates roll up
 member-by-member through the engine's rollup resolver, residual
 predicates filter with :meth:`Predicate.mask`, and the re-grouping runs
-through the same :func:`~repro.engine.kernels.combine_codes` /
-``_aggregate`` kernels as cold execution.  Because both paths order
-groups lexicographically by member value, a derived result has the same
-row order as a cold one.
+through the same :func:`~repro.core.aggregate.combine_codes` /
+:func:`~repro.core.aggregate.aggregate` kernels as cold execution.
+Because both paths order groups lexicographically by member value, a
+derived result has the same row order as a cold one.
 
 **Bit-exactness policy.**  A derived answer must be bit-identical to the
 cold one, so re-aggregations that could *re-associate* floating-point
@@ -45,8 +45,9 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.query import CubeQuery, Predicate, PredicateOp
-from ..engine.executor import ResultSet, _aggregate, _hash_encode_with_mapping
-from ..engine.kernels import combine_codes, encode_column, sums_exactly
+from ..core.aggregate import aggregate, combine_codes
+from ..engine.executor import ResultSet, _hash_encode_with_mapping
+from ..engine.kernels import encode_column, sums_exactly
 from ..olap.materialized import REAGGREGATION_OPS
 
 RollupResolver = Callable[[str, str, str], Optional[Mapping]]
@@ -234,12 +235,12 @@ def derive_result(
         values = cached.column(name)
         if mask is not None:
             values = values[mask]
-        columns[name] = _aggregate(group_ids, group_count, values, reagg)
+        columns[name] = aggregate(group_ids, group_count, values, reagg)
     return ResultSet(columns)
 
 
-# The float-sum exactness gate is shared with the fused-scan path of the
-# engine executor, which applies it at fact-row granularity; here it gates
+# The float-sum exactness gate is shared with the engine's fact pass, which
+# applies it to whole fact columns (Table.sums_exactly); here it gates
 # cached *partial* sums before re-association.
 _sums_exactly = sums_exactly
 

@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .aggregate import aggregate
 from .cube import Cube
 from .errors import SchemaError
 from .groupby import GroupBySet
@@ -74,26 +75,10 @@ def rollup(cube: Cube, target: GroupBySet) -> Cube:
     measures: Dict[str, np.ndarray] = {}
     for name, op in keep:
         values = np.asarray(cube.measure(name), dtype=np.float64)
-        measures[name] = _aggregate_groups(assignment, len(groups), values, op)
+        # counts re-aggregate by summing the cells' counts
+        reagg = "sum" if op == "count" else op
+        measures[name] = aggregate(assignment, len(groups), values, reagg)
     return Cube(schema, target, coords, measures)
-
-
-def _aggregate_groups(
-    assignment: np.ndarray, count: int, values: np.ndarray, op: str
-) -> np.ndarray:
-    if op == "sum":
-        return np.bincount(assignment, weights=values, minlength=count)
-    if op == "count":
-        return np.bincount(assignment, weights=values, minlength=count)
-    if op == "min":
-        out = np.full(count, np.inf)
-        np.minimum.at(out, assignment, values)
-        return out
-    if op == "max":
-        out = np.full(count, -np.inf)
-        np.maximum.at(out, assignment, values)
-        return out
-    raise SchemaError(f"cannot re-aggregate operator {op!r}")
 
 
 def drill_down_levels(cube: Cube, target: GroupBySet) -> None:

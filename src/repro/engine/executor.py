@@ -11,15 +11,17 @@ performing it cell-at-a-time on cube objects.
 
 from __future__ import annotations
 
+import itertools
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.aggregate import aggregate, combine_codes as _combine_codes
 from ..core.errors import EngineError
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.tracer import active as _active_tracer
-from ..parallel.config import ParallelConfig
+from ..parallel.config import DEFAULT_MORSEL_ROWS, ParallelConfig, env_morsel_rows
 from ..parallel.merge import decode_keys as _decode_keys
 from ..parallel.merge import merge_morsels as _merge_morsels
 from ..parallel.morsel import (
@@ -29,8 +31,10 @@ from ..parallel.morsel import (
     JoinSpec,
     KeySpec,
     MorselTask,
-    morsel_ranges,
+    cut_selection,
+    partial_aggregate as _partial_aggregate,
     run_morsel,
+    select_rows as _select_rows,
 )
 from .catalog import Catalog
 from .columns import (
@@ -39,9 +43,7 @@ from .columns import (
     plan_zone_pruning as _plan_zone_pruning,
     ranges_length as _ranges_length,
 )
-from .kernels import combine_codes as _combine_codes
 from .kernels import encode_column as _encode_column
-from .kernels import sums_exactly as _sums_exactly
 from .spill import (
     SpillAggregator,
     choose_partitions as _choose_partitions,
@@ -95,9 +97,9 @@ class EngineExecutor:
 
     def __init__(self, catalog: Catalog, metrics: Optional[MetricsRegistry] = None):
         self.catalog = catalog
-        # Fact passes actually executed (cold aggregates, fused scans, and
-        # per-member fused fallbacks).  Cache hits and derived results do
-        # not count; the batch sharing report reads this.
+        # Fact passes actually executed (aggregates, fused shared passes,
+        # and fused members run as their own pass).  Cache hits and derived
+        # results do not count; the batch sharing report reads this.
         self.scan_count = 0
         # Counter registry ("engine.scans", "engine.rows_scanned", ...);
         # engine-owned executors share their engine's registry, standalone
@@ -107,10 +109,8 @@ class EngineExecutor:
         )
         # Morsel-driven parallel execution, off unless a session enables
         # it (AssessSession(parallelism=N) / REPRO_PARALLELISM).  When
-        # set, eligible fact passes are partitioned, dispatched to the
-        # config's worker pool, and merged deterministically — results
-        # stay bit-identical to serial or the query falls back to the
-        # serial path (see repro.parallel and docs/performance.md).
+        # set, eligible fact passes run their morsels on the config's
+        # worker pool (see _fact_pass and docs/performance.md).
         self.parallel: Optional[ParallelConfig] = None
         # Zone-map morsel pruning (skipping fact zones whose min/max
         # statistics prove no row can pass the predicates).  Only active
@@ -121,21 +121,15 @@ class EngineExecutor:
         # Bounded-memory execution: when a byte budget is set
         # (REPRO_MEMORY_BYTES / REPRO_SPILL_BYTES env, or
         # AssessSession(memory_budget=)), fact passes whose worst-case
-        # grouping state exceeds it run through the spill-to-disk
-        # partitioned aggregation tier (engine/spill.py) instead of the
-        # in-RAM kernels — bit-identical under the same exactness gate
-        # that guards the parallel merge.
+        # grouping state exceeds it stream their morsels into the
+        # spill-to-disk partitioned aggregation (engine/spill.py).
         self.memory_budget: Optional[int] = _env_memory_budget()
 
-    def _count_scan(self, fact: Table, rows: Optional[int] = None) -> None:
-        """One executed fact pass: bump the scan counters together.
-
-        ``rows`` is the post-pruning row count actually scanned (defaults
-        to the whole fact table).
-        """
+    def _count_scan(self, rows: int) -> None:
+        """One executed fact pass over ``rows`` post-pruning rows."""
         self.scan_count += 1
         self.metrics.inc("engine.scans")
-        self.metrics.inc("engine.rows_scanned", len(fact) if rows is None else rows)
+        self.metrics.inc("engine.rows_scanned", rows)
 
     def _zone_pruner(
         self,
@@ -154,15 +148,7 @@ class EngineExecutor:
         """
         if not self.zone_pruning or not fact.has_zone_maps:
             return None
-        tracer = _active_tracer()
-        if not tracer.enabled:
-            pruner = _plan_zone_pruning(
-                self.catalog, fact, fact_name, predicates, joins
-            )
-            if pruner is not None:
-                self._count_pruning(pruner)
-            return pruner
-        with tracer.span("storage.prune", fact=fact_name) as span:
+        with _active_tracer().span("storage.prune", fact=fact_name) as span:
             pruner = _plan_zone_pruning(
                 self.catalog, fact, fact_name, predicates, joins
             )
@@ -187,21 +173,8 @@ class EngineExecutor:
         if pruner.misaligned:
             self.metrics.inc("engine.storage.zone_misaligned", pruner.misaligned)
 
-    def _pruned_ranges(
-        self,
-        fact: Table,
-        fact_name: str,
-        predicates: Sequence[ColumnPredicate],
-        joins,
-    ) -> Ranges:
-        """Surviving row ranges of a serial scan (``None`` = scan all)."""
-        pruner = self._zone_pruner(fact, fact_name, predicates, joins)
-        if pruner is None:
-            return None
-        return pruner.surviving_row_ranges()
-
     # ------------------------------------------------------------------
-    # Aggregate (get)
+    # Aggregate (get) and fused batches: one fact pass
     # ------------------------------------------------------------------
     def execute(self, query) -> ResultSet:
         """Dispatch on the query shape."""
@@ -216,120 +189,13 @@ class EngineExecutor:
     def execute_aggregate(self, query: AggregateQuery) -> ResultSet:
         """Star join + filter + group-by + aggregate.
 
-        Pipeline: (1) resolve each needed dimension's FK column to row
-        positions; (2) fold predicates into one fact-row mask (dimension
-        predicates are evaluated once per dimension row, then propagated
-        through the FK — a semi-join); (3) gather grouping columns; (4)
-        factorise them into dense group ids; (5) aggregate with bincount /
-        ufunc.at kernels.
+        A single aggregate is a fact pass of one member whose key is the
+        finest key and which has no residual (see :meth:`_fact_pass`).
         """
-        fact = self.catalog.table(query.fact)
-        if self._spill_admits(fact, len(query.aggregates)):
-            result = self._spill_aggregate(fact, query)
-            if result is not None:
-                return result
-        if self.parallel is not None and self.parallel.eligible(len(fact)):
-            result = self._parallel_aggregate(fact, query)
-            if result is not None:
-                return result
-        ranges = self._pruned_ranges(fact, query.fact, query.where, query.joins)
-        n_scan = _ranges_length(ranges, len(fact))
-        tracer = _active_tracer()
-        if not tracer.enabled:
-            positions = self._dimension_positions(fact, query, ranges)
-            mask = self._selection_mask(fact, query, positions, ranges)
-            self._count_scan(fact, n_scan)
-            return self._grouped_aggregate(fact, query, positions, mask, ranges)
-        with tracer.span("engine.scan", fact=query.fact) as span:
-            with tracer.span("engine.semijoin") as semijoin:
-                positions = self._dimension_positions(fact, query, ranges)
-                mask = self._selection_mask(fact, query, positions, ranges)
-                semijoin.set(
-                    rows_in=n_scan,
-                    rows_matched=n_scan if mask is None else int(mask.sum()),
-                    predicates=len(query.where),
-                )
-            self._count_scan(fact, n_scan)
-            with tracer.span("engine.groupby") as groupby:
-                result = self._grouped_aggregate(
-                    fact, query, positions, mask, ranges
-                )
-                groupby.set(rows_out=len(result), keys=len(query.group_by))
-            span.set(
-                rows_in=n_scan,
-                rows_out=len(result),
-                cells_out=len(result) * max(len(result.column_names), 1),
-            )
-            return result
+        return self._fact_pass(
+            query.fact, query.joins, query.where, [query], [()]
+        )[0]
 
-    def _grouped_aggregate(
-        self,
-        fact: Table,
-        query: AggregateQuery,
-        positions: "Dict[str, np.ndarray]",
-        mask: Optional[np.ndarray],
-        ranges: Ranges = None,
-    ) -> ResultSet:
-        """Group and aggregate the masked fact rows (steps 3–5).
-
-        Split out of :meth:`execute_aggregate` so the fused-scan fallback
-        can reuse the exact same grouping code with a shared semi-join
-        mask — bit-identity between the two paths is then structural.
-
-        ``ranges`` is the zone-pruned row selection the positions and mask
-        were computed over (``None`` = whole table); fact-resident columns
-        are gathered through it, so pruned rows are never decoded.
-        """
-        n_rows = (
-            _ranges_length(ranges, len(fact)) if mask is None else int(mask.sum())
-        )
-
-        # Integer key codes: dimension-sourced grouping columns use the FK
-        # row positions directly (already dense integers), fact-resident
-        # columns are dictionary-encoded.  Avoiding factorization of member
-        # strings is what keeps large group-bys cheap.
-        code_columns: List[Tuple[np.ndarray, int]] = []
-        emitters = []
-        for gb in query.group_by:
-            if gb.table in (FACT, fact.name):
-                codes, cardinality = fact.dictionary_gather(gb.column, ranges)
-                values = fact.gather(gb.column, ranges)
-                if mask is not None:
-                    codes = codes[mask]
-                    values = values[mask]
-                code_columns.append((codes, cardinality))
-                emitters.append(lambda first, values=values: values[first])
-            else:
-                dimension = self.catalog.table(gb.table)
-                pos = positions[gb.table]
-                if mask is not None:
-                    pos = pos[mask]
-                # Encode members once over the (small) dimension table, then
-                # gather the codes through the FK positions: grouping on a
-                # coarse attribute (e.g. region) collapses correctly while
-                # the per-fact-row work stays integer-only.
-                dim_codes, cardinality = dimension.dictionary(gb.column)
-                code_columns.append((dim_codes[pos], cardinality))
-                member_column = dimension.column(gb.column)
-                emitters.append(
-                    lambda first, pos=pos, col=member_column: col[pos[first]]
-                )
-
-        group_ids, group_count, first_rows = _combine_codes(code_columns, n_rows)
-
-        columns: Dict[str, np.ndarray] = {}
-        for gb, emit in zip(query.group_by, emitters):
-            columns[gb.alias] = emit(first_rows)
-        for agg in query.aggregates:
-            measure = fact.gather(agg.column, ranges)
-            if mask is not None:
-                measure = measure[mask]
-            columns[agg.alias] = _aggregate(group_ids, group_count, measure, agg.op)
-        return ResultSet(columns)
-
-    # ------------------------------------------------------------------
-    # Fused multi-group-by scan
-    # ------------------------------------------------------------------
     def execute_fused(
         self,
         queries: Sequence[AggregateQuery],
@@ -344,494 +210,316 @@ class EngineExecutor:
         predicate subsumption so the scan is never broader than what some
         member itself requires).
 
-        One semi-join mask and one set of gathered dictionary codes build
-        the *finest shared group-by* (the union of every member's grouping
-        columns plus residual predicate columns); each member is then
-        derived from the finest partial aggregates via the distributive
-        re-aggregation rules, with residual predicates evaluated on the
-        (tiny) finest-group coordinates.  ``sum`` members are only derived
-        when the masked measure passes the same float-exactness gate the
-        result cache uses; anything else (``avg``, fractional sums) falls
-        back to a direct grouping pass that reuses the shared mask — never
-        faster than fused, never different by a bit.
+        The shared pass groups by the *finest shared key* (the union of
+        every member's grouping columns plus residual predicate columns);
+        each member is then derived from the finest partials via the
+        distributive re-aggregation rules, with residual predicates
+        evaluated on the (tiny) finest-group coordinates.  A member is
+        derived only when re-aggregation is exact: sum, count, min and
+        max, with every summed measure passing ``Table.sums_exactly``.
+        Any other member (avg, fractional sums), and every member when the
+        finest key would overflow the int64 fold, runs as its own
+        one-member pass — never different by a bit.
 
         Returns the per-query results (input order) and a parallel list of
-        flags: ``True`` when the result was derived from the fused pass,
-        ``False`` when it fell back to a direct grouping pass.
+        flags: ``True`` when the result was derived from the shared pass,
+        ``False`` when it ran as its own pass.
         """
-        if queries:
-            fact = self.catalog.table(queries[0].fact)
-            slots = sum(len(query.aggregates) for query in queries)
-            if self._spill_admits(fact, slots):
-                fused = self._spill_fused(fact, queries, scan_where, residuals)
-                if fused is not None:
-                    return fused
-            if self.parallel is not None and self.parallel.eligible(len(fact)):
-                fused = self._parallel_fused(fact, queries, scan_where, residuals)
-                if fused is not None:
-                    return fused
-        tracer = _active_tracer()
-        if not tracer.enabled:
-            return self._execute_fused(queries, scan_where, residuals)
-        with tracer.span("engine.fused-scan", members=len(queries)) as span:
-            results, derived_flags = self._execute_fused(
-                queries, scan_where, residuals
-            )
-            derived = int(sum(derived_flags))
-            span.set(
-                derived=derived,
-                fallbacks=len(derived_flags) - derived,
-                rows_out=int(sum(len(result) for result in results)),
-            )
-            return results, derived_flags
-
-    def _execute_fused(
-        self,
-        queries: Sequence[AggregateQuery],
-        scan_where: Sequence[ColumnPredicate],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-    ) -> "Tuple[List[ResultSet], List[bool]]":
         if not queries:
             return [], []
-        fact = self.catalog.table(queries[0].fact)
         fact_name = queries[0].fact
-
-        # Zone pruning uses the shared scan predicates only: every member
-        # mask is ``base ∧ residual``, so a zone no row of which passes the
-        # base predicates contributes to no member (residuals could prune
-        # further, but per-member, which would break the shared gathers).
-        ranges = self._pruned_ranges(
-            fact, fact_name, scan_where, queries[0].joins
+        fact = self.catalog.table(fact_name)
+        _, key_space = self._key_infos(
+            fact, _finest_key(fact_name, queries, residuals)
         )
-        n_scan = _ranges_length(ranges, len(fact))
-
-        # Union dimension positions: one FK resolution serves every member.
-        referenced = set()
-        for query in queries:
-            referenced |= {gb.table for gb in query.group_by}
-            referenced |= {cp.table for cp in query.where}
-        positions: Dict[str, np.ndarray] = {}
-        for join in queries[0].joins:
-            if join.table not in referenced:
-                continue
-            dimension = self.catalog.table(join.table)
-            index = dimension.key_index(join.dim_key)
-            positions[join.table] = index.positions_of(
-                fact.gather(join.fact_fk, ranges)
+        derived = [
+            key_space < _MAX_COMBINED_KEY and _derivable(fact, query)
+            for query in queries
+        ]
+        shared = [i for i, ok in enumerate(derived) if ok]
+        results: Dict[int, ResultSet] = {}
+        with _active_tracer().span(
+            "engine.fused-scan", members=len(queries)
+        ) as span:
+            if shared:
+                self.metrics.inc("engine.fused_scans")
+                outputs = self._fact_pass(
+                    fact_name, queries[0].joins, scan_where,
+                    [queries[i] for i in shared], [residuals[i] for i in shared],
+                )
+                for i, result in zip(shared, outputs):
+                    results[i] = result
+                self.metrics.inc("engine.fused_derived", len(shared))
+            for i, ok in enumerate(derived):
+                if not ok:
+                    results[i] = self._fact_pass(
+                        fact_name, queries[i].joins,
+                        tuple(scan_where) + tuple(residuals[i]),
+                        [queries[i]], [()],
+                    )[0]
+                    self.metrics.inc("engine.fused_fallbacks")
+            span.set(
+                derived=len(shared),
+                fallbacks=len(queries) - len(shared),
+                rows_out=sum(len(result) for result in results.values()),
             )
+        return [results[i] for i in range(len(queries))], derived
 
-        self._count_scan(fact, n_scan)
-        self.metrics.inc("engine.fused_scans")
-        base_mask = self._predicate_mask(
-            fact, fact_name, scan_where, positions, ranges
-        )
-        n_rows = n_scan if base_mask is None else int(base_mask.sum())
-
-        def column_key(table: str) -> str:
-            return FACT if table in (FACT, fact_name) else table
-
-        # The finest shared key: every member grouping column plus every
-        # residual predicate column, ordered by first appearance.
-        finest: List[Tuple[str, str]] = []
-        seen = set()
-        for query, residual in zip(queries, residuals):
-            for gb in query.group_by:
-                key = (column_key(gb.table), gb.column)
-                if key not in seen:
-                    seen.add(key)
-                    finest.append(key)
-            for cp in residual:
-                key = (column_key(cp.table), cp.column)
-                if key not in seen:
-                    seen.add(key)
-                    finest.append(key)
-
-        codes_of: Dict[Tuple[str, str], Tuple[np.ndarray, int]] = {}
-        value_emitters: Dict[Tuple[str, str], object] = {}
-        key_space = 1
-        for table, column in finest:
-            if table == FACT:
-                codes, cardinality = fact.dictionary_gather(column, ranges)
-                values = fact.gather(column, ranges)
-                if base_mask is not None:
-                    codes = codes[base_mask]
-                    values = values[base_mask]
-                emit = (lambda first, values=values: values[first])
-            else:
-                dimension = self.catalog.table(table)
-                pos = positions[table]
-                if base_mask is not None:
-                    pos = pos[base_mask]
-                dim_codes, cardinality = dimension.dictionary(column)
-                codes = dim_codes[pos]
-                member_column = dimension.column(column)
-                emit = (lambda first, pos=pos, col=member_column: col[pos[first]])
-            codes_of[(table, column)] = (codes, cardinality)
-            value_emitters[(table, column)] = emit
-            key_space *= max(cardinality, 1)
-        if key_space >= _MAX_COMBINED_KEY:
-            # The folded finest key would overflow int64; run every member
-            # as its own direct pass (still sharing mask and positions).
-            return self._fused_fallback_all(
-                fact, queries, residuals, positions, base_mask, ranges
-            )
-
-        finest_ids, finest_count, finest_first = _combine_codes(
-            [codes_of[key] for key in finest], n_rows
-        )
-        group_codes = {
-            key: (codes_of[key][0][finest_first], codes_of[key][1]) for key in finest
-        }
-        group_values = {
-            key: value_emitters[key](finest_first) for key in finest  # type: ignore[operator]
-        }
-
-        # Finest partial aggregates, computed once per distinct (column, op).
-        partials: Dict[Tuple[str, str], np.ndarray] = {}
-        sum_exact: Dict[str, bool] = {}
-        count_state: Dict[str, np.ndarray] = {}
-
-        def masked_measure(column: str) -> np.ndarray:
-            # Pruned rows are all base-mask rejects, so gathering through
-            # the surviving ranges yields the identical masked sequence the
-            # unpruned scan would — exactness gating included.
-            measure = fact.gather(column, ranges)
-            return measure if base_mask is None else measure[base_mask]
-
-        def partial_of(column: str, op: str) -> np.ndarray:
-            pkey = (column, op)
-            if pkey not in partials:
-                partials[pkey] = _aggregate(
-                    finest_ids, finest_count, masked_measure(column), op
-                )
-            return partials[pkey]
-
-        def count_of() -> np.ndarray:
-            if "count" not in count_state:
-                count_state["count"] = _aggregate(
-                    finest_ids, finest_count, np.empty(0), "count"
-                )
-            return count_state["count"]
-
-        results: List[ResultSet] = []
-        derived_flags: List[bool] = []
-        for query, residual in zip(queries, residuals):
-            derivable = True
-            for agg in query.aggregates:
-                if agg.op == "avg":
-                    derivable = False
-                    break
-                if agg.op == "sum":
-                    if agg.column not in sum_exact:
-                        sum_exact[agg.column] = _sums_exactly(
-                            masked_measure(agg.column)
-                        )
-                    if not sum_exact[agg.column]:
-                        derivable = False
-                        break
-            if not derivable:
-                results.append(
-                    self._fused_member_direct(
-                        fact, query, residual, positions, base_mask, ranges
-                    )
-                )
-                derived_flags.append(False)
-                self.metrics.inc("engine.fused_fallbacks")
-                continue
-
-            results.append(
-                self._derive_fused_member(
-                    query, residual, column_key, group_codes, group_values,
-                    finest_count, partial_of, count_of,
-                )
-            )
-            derived_flags.append(True)
-            self.metrics.inc("engine.fused_derived")
-        return results, derived_flags
-
-    def _derive_fused_member(
+    def _fact_pass(
         self,
-        query: AggregateQuery,
-        residual: Sequence[ColumnPredicate],
-        column_key,
-        group_codes: "Dict[Tuple[str, str], Tuple[np.ndarray, int]]",
-        group_values: "Dict[Tuple[str, str], np.ndarray]",
-        finest_count: int,
-        partial_of,
-        count_of,
-    ) -> ResultSet:
-        """Derive one member's result from finest-granularity partials.
-
-        Shared by the serial fused path (``partial_of`` computes from the
-        finest grouping of this scan, lazily) and the parallel fused path
-        (``partial_of`` reads morsel-merged partials): the derivation
-        arithmetic is identical by construction, which is what keeps the
-        two bit-identical.  Residual predicates are evaluated on
-        finest-group coordinates (residual columns are part of the finest
-        key, so they are constant within each finest group).
-        """
-        rmask: Optional[np.ndarray] = None
-        for cp in residual:
-            key = (column_key(cp.table), cp.column)
-            part = cp.predicate.mask(group_values[key])
-            rmask = part if rmask is None else (rmask & part)
-
-        if rmask is None:
-            group_rows = finest_count
-            member_codes = [
-                group_codes[(column_key(gb.table), gb.column)]
-                for gb in query.group_by
-            ]
-        else:
-            group_rows = int(rmask.sum())
-            member_codes = [
-                (group_codes[(column_key(gb.table), gb.column)][0][rmask],
-                 group_codes[(column_key(gb.table), gb.column)][1])
-                for gb in query.group_by
-            ]
-        ids, count, first = _combine_codes(member_codes, group_rows)
-
-        columns: Dict[str, np.ndarray] = {}
-        for gb in query.group_by:
-            values = group_values[(column_key(gb.table), gb.column)]
-            if rmask is not None:
-                values = values[rmask]
-            columns[gb.alias] = values[first]
-        for agg in query.aggregates:
-            if agg.op == "count":
-                values = count_of()
-                reagg = "sum"
-            else:
-                values = partial_of(agg.column, agg.op)
-                reagg = "sum" if agg.op == "sum" else agg.op
-            if rmask is not None:
-                values = values[rmask]
-            columns[agg.alias] = _aggregate(ids, count, values, reagg)
-        return ResultSet(columns)
-
-    def _fused_member_direct(
-        self,
-        fact: Table,
-        query: AggregateQuery,
-        residual: Sequence[ColumnPredicate],
-        positions: Dict[str, np.ndarray],
-        base_mask: Optional[np.ndarray],
-        ranges: Ranges = None,
-    ) -> ResultSet:
-        """Direct grouping pass for one fused member, reusing the scan mask.
-
-        The member mask is ``base ∧ residual`` — the same predicate parts a
-        standalone execution would AND together, so the result is
-        bit-identical to :meth:`execute_aggregate` on the member's query.
-        """
-        self._count_scan(fact, _ranges_length(ranges, len(fact)))
-        residual_mask = self._predicate_mask(
-            fact, query.fact, residual, positions, ranges
-        )
-        if base_mask is None:
-            mask = residual_mask
-        elif residual_mask is None:
-            mask = base_mask
-        else:
-            mask = base_mask & residual_mask
-        return self._grouped_aggregate(fact, query, positions, mask, ranges)
-
-    def _fused_fallback_all(
-        self,
-        fact: Table,
+        fact_name: str,
+        joins,
+        where: Sequence[ColumnPredicate],
         queries: Sequence[AggregateQuery],
         residuals: Sequence[Sequence[ColumnPredicate]],
-        positions: Dict[str, np.ndarray],
-        base_mask: Optional[np.ndarray],
-        ranges: Ranges = None,
-    ) -> "Tuple[List[ResultSet], List[bool]]":
-        results = [
-            self._fused_member_direct(
-                fact, query, residual, positions, base_mask, ranges
-            )
-            for query, residual in zip(queries, residuals)
-        ]
-        self.metrics.inc("engine.fused_fallbacks", len(queries))
-        return results, [False] * len(queries)
+    ) -> List[ResultSet]:
+        """One star-join group-by pass over the fact table for every member.
 
-    # ------------------------------------------------------------------
-    # Morsel-driven parallel execution
-    # ------------------------------------------------------------------
-    def _lower_aggregates(self, fact: Table, aggregates):
-        """Lower logical aggregates onto physical partial specs.
+        1. **Lower**: the finest key (every member grouping column and
+           residual predicate column) and the partial slots, with avg
+           lowered to a sum plus a count.
+        2. **Cut and run morsels** from the zone-pruned surviving rows,
+           dispatched *inline* (one morsel of every surviving row),
+           *pool* (morsels of ``morsel_rows`` on the worker pool) or
+           *streamed* (morsels built and dropped one at a time, or in pool
+           waves, into a :class:`SpillAggregator`).
+        3. **Merge** the morsel partials — the identity with one morsel.
+        4. **Finish**: decode the keys, then finalize or derive each member.
 
-        Returns ``(specs, plan)`` where ``specs`` is the deduplicated
-        list of ``(op, column)`` partials every morsel computes (op in
-        sum/count/min/max) and ``plan`` maps each logical aggregate to
-        its merged slots: ``("direct", slot)`` or
-        ``("avg", sum_slot, count_slot)`` — avg is divided after the
-        merge, exactly the totals/counts division of the serial kernel.
-
-        Returns ``None`` when any measure fails the float-exactness gate
-        (fractional sums do not re-associate bit-identically): the caller
-        then stays on the serial path.
+        Splitting a group over several morsels re-associates its sums, so
+        the pool and streamed dispatches require every summed measure to
+        pass ``Table.sums_exactly``; a gate failure runs the pass inline
+        (counted as a parallel or spill fallback).  One inline morsel adds
+        every group's rows in row order and needs no gate.
         """
-        specs: List[Tuple[str, Optional[str]]] = []
+        fact = self.catalog.table(fact_name)
+        finest = _finest_key(fact_name, queries, residuals)
+        infos, key_space = self._key_infos(fact, finest)
+        if key_space >= _MAX_COMBINED_KEY:
+            raise EngineError(
+                f"group-by key space {key_space} of a scan over {fact_name!r} "
+                "overflows the int64 key fold"
+            )
+        slots = _partial_slots(queries)
+        ops = [op for op, _ in slots]
+        pruner = self._zone_pruner(fact, fact_name, where, joins)
+        ranges = None if pruner is None else pruner.surviving_row_ranges()
+        rows = _ranges_length(ranges, len(fact))
+        build = self._task_builder(fact, fact_name, where, joins, finest, slots)
+        dispatch = self._dispatch(
+            fact, slots, sum(len(query.aggregates) for query in queries)
+        )
+        attrs: Dict[str, object] = {}
+        if dispatch == "pool":
+            assert self.parallel is not None
+            attrs = {"parallel": True, "degree": self.parallel.degree}
+            morsel_rows = self.parallel.morsel_rows
+        elif dispatch == "streamed":
+            attrs = {"spill": True}
+            morsel_rows = (
+                self.parallel.morsel_rows if self.parallel is not None
+                else env_morsel_rows() or DEFAULT_MORSEL_ROWS
+            )
 
-        def slot(op: str, column: Optional[str]) -> int:
-            key = (op, column)
-            if key not in specs:
-                specs.append(key)
-            return specs.index(key)
-
-        plan: List[Tuple] = []
-        for agg in aggregates:
-            if agg.op not in ("sum", "count", "min", "max", "avg"):
-                return None
-            if agg.op in ("sum", "avg") and not fact.sums_exactly(agg.column):
-                return None
-            if agg.op == "count":
-                plan.append(("direct", slot("count", None)))
-            elif agg.op == "avg":
-                plan.append(("avg", slot("sum", agg.column), slot("count", None)))
+        tracer = _active_tracer()
+        with tracer.span("engine.scan", fact=fact_name, **attrs) as span:
+            self._count_scan(rows)
+            if dispatch == "inline":
+                keys, merged = self._run_inline(
+                    build(0, 0, ranges), len(where), tracer
+                )
             else:
-                plan.append(("direct", slot(agg.op, agg.column)))
-        return specs, plan
+                morsels = cut_selection(ranges, len(fact), morsel_rows)
+                span.set(morsels=len(morsels))
+                if pruner is not None:
+                    unpruned = -(-len(fact) // morsel_rows)
+                    if unpruned > len(morsels):
+                        self.metrics.inc(
+                            "engine.storage.morsels_pruned",
+                            unpruned - len(morsels),
+                        )
+                tasks = (
+                    build(index, index * morsel_rows, selection)
+                    for index, selection in enumerate(morsels)
+                )
+                if dispatch == "pool":
+                    self.metrics.inc("engine.parallel.queries")
+                    outputs = self._run_pool(list(tasks), tracer)
+                    with tracer.span(
+                        "parallel.merge", morsels=len(outputs)
+                    ) as merge_span:
+                        keys, merged = _merge_morsels(outputs, ops)
+                        merge_span.set(rows_out=len(keys))
+                else:
+                    self.metrics.inc("engine.spill.queries")
+                    keys, merged, spills = self._run_streamed(
+                        tasks, key_space, ops,
+                        _grouping_state_bytes(len(fact), len(finest), len(slots)),
+                        tracer,
+                    )
+                    span.set(spills=spills)
 
-    def _parallel_key_info(
-        self, fact: Table, fact_name: str, keys: "Sequence[Tuple[str, str]]"
-    ):
-        """Global dictionary info for each ``(table, column)`` key column.
+            cardinalities = [cardinality for cardinality, _ in infos]
+            codes = _decode_keys(keys, cardinalities)
+            groups = _Groups(
+                finest, codes, cardinalities,
+                [uniques[code] for (_, uniques), code in zip(infos, codes)],
+                len(keys), dict(zip(slots, merged)),
+            )
+            results = [
+                _finish(fact_name, query, residual, groups)
+                for query, residual in zip(queries, residuals)
+            ]
+            span.set(
+                rows_in=rows,
+                rows_out=sum(len(result) for result in results),
+                cells_out=sum(
+                    len(result) * max(len(result.column_names), 1)
+                    for result in results
+                ),
+            )
+        return results
 
-        Each entry is ``(kind, alias, codes, cardinality, uniques)``:
-        fact-resident columns carry their full-column dictionary codes
-        (sliced per morsel by the driver), dimension columns carry the
-        whole (small) dimension's codes (gathered through FK positions by
-        the worker).  ``uniques`` decodes merged group keys back into
-        coordinate values.  Also returns the folded key space, so callers
-        can bail to serial before an int64 overflow.
+    def _key_infos(self, fact: Table, finest: "Sequence[Tuple[str, str]]"):
+        """``(cardinality, dictionary values)`` of each finest key column.
+
+        Also returns the folded key space, the product of cardinalities.
+        The dictionaries are global, so a combined key means the same
+        group in every morsel and decodes back through these values.
         """
         infos = []
         key_space = 1
-        for table, column in keys:
-            if table in (FACT, fact_name):
-                codes, cardinality = fact.dictionary(column)
-                uniques = fact.dictionary_values(column)
-                infos.append(("fact", None, codes, cardinality, uniques))
-            else:
-                dimension = self.catalog.table(table)
-                codes, cardinality = dimension.dictionary(column)
-                uniques = dimension.dictionary_values(column)
-                infos.append(("dim", table, codes, cardinality, uniques))
-            key_space *= max(cardinality, 1)
+        for table, column in finest:
+            source = fact if table == FACT else self.catalog.table(table)
+            uniques = source.dictionary_values(column)
+            cardinality = max(len(uniques), 1)
+            infos.append((cardinality, uniques))
+            key_space *= cardinality
         return infos, key_space
 
-    def _morsel_task_source(
+    def _dispatch(self, fact: Table, slots, n_aggregates: int) -> str:
+        """``"streamed"``, ``"pool"`` or ``"inline"`` for one fact pass.
+
+        Streamed when a memory budget is set and the pessimistic grouping
+        state estimate (every row opening a group; the analyzer's
+        ASSESS508 and the cost model mirror it) exceeds it; pool when the
+        parallel config finds the fact table eligible; both only when
+        every summed measure passes the exactness gate.
+        """
+        spill = (
+            self.memory_budget is not None
+            and _grouping_state_bytes(len(fact), 0, n_aggregates)
+            > self.memory_budget
+        )
+        pool = self.parallel is not None and self.parallel.eligible(len(fact))
+        if not (spill or pool):
+            return "inline"
+        exact = all(
+            fact.sums_exactly(column) for op, column in slots if op == "sum"
+        )
+        if spill:
+            if exact:
+                return "streamed"
+            self.metrics.inc("engine.spill.fallbacks")
+        if pool:
+            if exact:
+                return "pool"
+            self.metrics.inc("engine.parallel.fallbacks")
+        return "inline"
+
+    def _task_builder(
         self,
         fact: Table,
         fact_name: str,
-        predicates: Sequence[ColumnPredicate],
-        joins_needed,
-        key_infos,
-        agg_specs: "Sequence[Tuple[str, Optional[str]]]",
-        morsel_rows: int,
-        pruner: Optional[ZonePruner] = None,
+        where: Sequence[ColumnPredicate],
+        joins,
+        finest: "Sequence[Tuple[str, str]]",
+        slots: "Sequence[Tuple[str, Optional[str]]]",
     ):
-        """Shared per-morsel task construction (parallel and spill paths).
+        """Per-morsel task construction, shared by every dispatch.
 
         Dimension-side work (key indexes, dimension predicate masks,
-        dimension dictionaries) is computed once here and shared by every
-        task; per-fact-row arrays are windowed per morsel (so compressed
-        or memory-mapped columns decode one morsel at a time).  With a
-        ``pruner``, morsels no zone of which can satisfy the predicates
-        are never enqueued at all — their rows would contribute zero
-        groups, so the merged result is unchanged; skipped tasks keep
-        their original index, preserving the deterministic merge order.
-
-        Returns ``(surviving, build)``: the surviving ``(index, lo, hi)``
-        morsel ranges and a builder producing the :class:`MorselTask` for
-        one of them on demand — the spill path builds (and drops) tasks
-        one at a time, so only one morsel's decoded windows are ever live.
+        dimension dictionaries) is done once here and shared by every
+        task; per-fact-row inputs are gathered per morsel, so compressed
+        or memory-mapped columns decode only the morsel's rows.  Returns
+        ``build(index, lo, selection)``, where ``selection`` is the
+        morsel's fact-row ranges (``None`` = every row).
         """
-        fact_pred_columns = []
-        dim_preds = []
-        for cp in predicates:
+        fact_predicates = []
+        dim_predicates = []
+        for cp in where:
             if cp.table in (FACT, fact_name):
-                fact_pred_columns.append((cp.predicate, cp.column))
+                fact_predicates.append((cp.predicate, cp.column))
             else:
                 dimension = self.catalog.table(cp.table)
                 dim_mask = cp.predicate.mask(dimension.column(cp.column))
-                dim_preds.append(DimPredicate(cp.table, dim_mask))
-        dim_predicates = tuple(dim_preds)
+                dim_predicates.append(DimPredicate(cp.table, dim_mask))
+        # join elimination: dimensions no key or predicate touches are skipped
+        referenced = {table for table, _ in finest} | {cp.table for cp in where}
         join_sources = [
             (
                 join.table,
                 self.catalog.table(join.table).key_index(join.dim_key),
                 join.fact_fk,
             )
-            for join in joins_needed
+            for join in joins
+            if join.table in referenced
         ]
-        measure_columns = [
-            column for _, column in agg_specs if column is not None
+        # dimension key columns ship their whole (small) code array
+        dim_keys = [
+            None if table == FACT
+            else KeySpec("dim", table, *self.catalog.table(table).dictionary(column))
+            for table, column in finest
         ]
+        measures = {column for _, column in slots if column is not None}
 
-        surviving: List[Tuple[int, int, int]] = []
-        pruned_morsels = 0
-        for index, (lo, hi) in enumerate(
-            morsel_ranges(len(fact), morsel_rows)
-        ):
-            if pruner is not None and not pruner.range_may_match(lo, hi):
-                pruned_morsels += 1
-                continue
-            surviving.append((index, lo, hi))
-        if pruned_morsels:
-            self.metrics.inc("engine.storage.morsels_pruned", pruned_morsels)
-
-        def build(index: int, lo: int, hi: int) -> MorselTask:
-            joins = tuple(
-                JoinSpec(alias, key_index, fact.window(fk_column, lo, hi))
-                for alias, key_index, fk_column in join_sources
+        def build(index: int, lo: int, selection: Ranges) -> MorselTask:
+            keys = tuple(
+                KeySpec("fact", None, *fact.dictionary_gather(column, selection))
+                if spec is None else spec
+                for spec, (_, column) in zip(dim_keys, finest)
             )
-            fps = tuple(
-                FactPredicate(predicate, fact.window(column, lo, hi))
-                for predicate, column in fact_pred_columns
-            )
-            key_specs = tuple(
-                KeySpec(
-                    kind,
-                    alias,
-                    codes[lo:hi] if kind == "fact" else codes,
-                    cardinality,
-                )
-                for kind, alias, codes, cardinality, _ in key_infos
-            )
-            windows = {
-                column: fact.window(column, lo, hi)
-                for column in measure_columns
+            values = {
+                column: fact.gather(column, selection) for column in measures
             }
-            aggs = tuple(
-                AggSpec(op, None if column is None else windows[column])
-                for op, column in agg_specs
+            return MorselTask(
+                index,
+                lo,
+                lo + _ranges_length(selection, len(fact)),
+                tuple(
+                    JoinSpec(alias, key_index, fact.gather(fk_column, selection))
+                    for alias, key_index, fk_column in join_sources
+                ),
+                tuple(
+                    FactPredicate(predicate, fact.gather(column, selection))
+                    for predicate, column in fact_predicates
+                ),
+                tuple(dim_predicates),
+                keys,
+                tuple(
+                    AggSpec(op, None if column is None else values[column])
+                    for op, column in slots
+                ),
             )
-            return MorselTask(index, lo, hi, joins, fps, dim_predicates,
-                              key_specs, aggs)
 
-        return surviving, build
+        return build
 
-    def _parallel_tasks(
-        self,
-        fact: Table,
-        fact_name: str,
-        predicates: Sequence[ColumnPredicate],
-        joins_needed,
-        key_infos,
-        agg_specs: "Sequence[Tuple[str, Optional[str]]]",
-        pruner: Optional[ZonePruner] = None,
-    ) -> List[MorselTask]:
-        """Slice the fact pass into per-morsel tasks (all built eagerly)."""
-        assert self.parallel is not None
-        surviving, build = self._morsel_task_source(
-            fact, fact_name, predicates, joins_needed, key_infos, agg_specs,
-            self.parallel.morsel_rows, pruner,
-        )
-        return [build(index, lo, hi) for index, lo, hi in surviving]
+    @staticmethod
+    def _run_inline(task: MorselTask, n_predicates: int, tracer):
+        """Run the one morsel of an inline pass on the calling thread."""
+        with tracer.span("engine.semijoin") as semijoin:
+            positions, mask, matched = _select_rows(task)
+            semijoin.set(
+                rows_in=task.hi - task.lo,
+                rows_matched=matched,
+                predicates=n_predicates,
+            )
+        with tracer.span("engine.groupby") as groupby:
+            keys, partials = _partial_aggregate(task, positions, mask, matched)
+            groupby.set(rows_out=len(keys), keys=len(task.keys))
+        return keys, partials
 
-    def _dispatch_morsels(self, tasks: List[MorselTask], tracer):
+    def _run_pool(self, tasks: List[MorselTask], tracer):
         """Run the tasks on the pool; emit per-morsel trace events."""
         assert self.parallel is not None
         results = self.parallel.map_ordered(run_morsel, tasks)
@@ -850,498 +538,33 @@ class EngineExecutor:
                 event.duration = result.seconds
         return results
 
-    def _parallel_aggregate(
-        self, fact: Table, query: AggregateQuery
-    ) -> Optional[ResultSet]:
-        """Morsel-parallel execute_aggregate; None → caller runs serial.
+    def _run_streamed(self, tasks, key_space, ops, estimate, tracer):
+        """Stream morsel partials into a :class:`SpillAggregator`.
 
-        Ineligible queries (gate-failing measures, key spaces that would
-        overflow the int64 fold) return ``None`` and are counted under
-        ``engine.parallel.fallbacks``.
+        With a parallel config the morsels run in bounded waves on the
+        worker pool; serially each task is built, run and dropped before
+        the next, so only one morsel's decoded rows are ever live.
         """
-        lowered = self._lower_aggregates(fact, query.aggregates)
-        if lowered is None:
-            self.metrics.inc("engine.parallel.fallbacks")
-            return None
-        agg_specs, agg_plan = lowered
-        key_infos, key_space = self._parallel_key_info(
-            fact, query.fact, [(gb.table, gb.column) for gb in query.group_by]
-        )
-        if key_space >= _MAX_COMBINED_KEY:
-            self.metrics.inc("engine.parallel.fallbacks")
-            return None
-        referenced = {gb.table for gb in query.group_by} | {
-            cp.table for cp in query.where
-        }
-        joins_needed = [j for j in query.joins if j.table in referenced]
-        pruner = self._zone_pruner(fact, query.fact, query.where, query.joins)
-        tasks = self._parallel_tasks(
-            fact, query.fact, query.where, joins_needed, key_infos, agg_specs,
-            pruner,
-        )
-
-        tracer = _active_tracer()
-        with tracer.span(
-            "engine.scan",
-            fact=query.fact,
-            parallel=True,
-            degree=self.parallel.degree,
-            morsels=len(tasks),
-        ) as span:
-            self._count_scan(fact, sum(task.hi - task.lo for task in tasks))
-            self.metrics.inc("engine.parallel.queries")
-            results = self._dispatch_morsels(tasks, tracer)
-            with tracer.span("parallel.merge", morsels=len(results)) as merge_span:
-                result = self._merge_aggregate(
-                    query, key_infos, agg_specs, agg_plan, results
-                )
-                if tracer.enabled:
-                    merge_span.set(rows_out=len(result))
-            if tracer.enabled:
-                span.set(
-                    rows_in=len(fact),
-                    rows_out=len(result),
-                    cells_out=len(result) * max(len(result.column_names), 1),
-                )
-            return result
-
-    def _merge_aggregate(
-        self, query: AggregateQuery, key_infos, agg_specs, agg_plan, results
-    ) -> ResultSet:
-        """Merge morsel partials into the final result set."""
-        merged_keys, merged = _merge_morsels(results, [op for op, _ in agg_specs])
-        return self._finalize_merged(query, key_infos, agg_plan, merged_keys, merged)
-
-    def _finalize_merged(
-        self, query: AggregateQuery, key_infos, agg_plan, merged_keys, merged
-    ) -> ResultSet:
-        """Decode merged keys and apply the post-merge aggregate plan.
-
-        Shared by the parallel merge and the spill merge — both produce
-        merged keys in globally sorted folded-key order, which is exactly
-        the group order of the serial fold, so decoding through the global
-        dictionaries reproduces the serial result bit for bit.
-        """
-        codes = _decode_keys(merged_keys, [info[3] for info in key_infos])
-        columns: Dict[str, np.ndarray] = {}
-        for gb, info, code in zip(query.group_by, key_infos, codes):
-            columns[gb.alias] = info[4][code]
-        for agg, step in zip(query.aggregates, agg_plan):
-            if step[0] == "avg":
-                totals = merged[step[1]]
-                counts = merged[step[2]]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    columns[agg.alias] = totals / counts
-            else:
-                columns[agg.alias] = merged[step[1]]
-        return ResultSet(columns)
-
-    # ------------------------------------------------------------------
-    # Bounded-memory (spill-to-disk) execution
-    # ------------------------------------------------------------------
-    def _spill_admits(self, fact: Table, n_slots: int) -> bool:
-        """Should this fact pass run through the spill tier?
-
-        True when a memory budget is configured and the worst-case
-        grouping state of the pass (every scanned row opening a group)
-        exceeds it.  Deliberately pessimistic: a budget below the working
-        set reliably routes through the bounded-memory path.
-        """
-        if self.memory_budget is None:
-            return False
-        return _grouping_state_bytes(len(fact), 0, n_slots) > self.memory_budget
-
-    def _spill_morsel_rows(self) -> int:
-        """Chunk size of a spill-tier scan (the parallel morsel size)."""
-        if self.parallel is not None:
-            return self.parallel.morsel_rows
-        from ..parallel.config import DEFAULT_MORSEL_ROWS, env_morsel_rows
-
-        return env_morsel_rows() or DEFAULT_MORSEL_ROWS
-
-    def _stream_morsels(self, surviving, build, tracer):
-        """Yield per-morsel results one at a time (bounded retained state).
-
-        With a parallel config the morsels are dispatched in bounded waves
-        through the worker pool (spill composes with the morsel path);
-        serially, each task is built, run, and dropped before the next, so
-        only one morsel's decoded windows are ever live.
-        """
-        if self.parallel is not None and self.parallel.enabled:
-            wave = max(1, self.parallel.degree) * 4
-            for start in range(0, len(surviving), wave):
-                batch = [
-                    build(index, lo, hi)
-                    for index, lo, hi in surviving[start:start + wave]
-                ]
-                for result in self._dispatch_morsels(batch, tracer):
-                    yield result
-        else:
-            for index, lo, hi in surviving:
-                yield run_morsel(build(index, lo, hi))
-
-    def _spill_aggregate(
-        self, fact: Table, query: AggregateQuery
-    ) -> Optional[ResultSet]:
-        """Bounded-memory execute_aggregate; None → caller runs in RAM.
-
-        Streams per-morsel partial results (the same ``run_morsel``
-        workers the parallel path uses) into a :class:`SpillAggregator`,
-        which range-partitions them over the folded key space, spills
-        buffered runs to temp files when the budget is exceeded, and
-        merges partitions with the distributive re-aggregation kernels —
-        bit-identical to the in-RAM path under the same float-exactness
-        gate that guards the parallel merge.  Gate-failing measures
-        return ``None`` (counted under ``engine.spill.fallbacks``); the
-        caller then runs the unbudgeted in-RAM path.
-        """
-        lowered = self._lower_aggregates(fact, query.aggregates)
-        if lowered is None:
-            self.metrics.inc("engine.spill.fallbacks")
-            return None
-        agg_specs, agg_plan = lowered
-        key_infos, key_space = self._parallel_key_info(
-            fact, query.fact, [(gb.table, gb.column) for gb in query.group_by]
-        )
-        if key_space >= _MAX_COMBINED_KEY:
-            self.metrics.inc("engine.spill.fallbacks")
-            return None
-        referenced = {gb.table for gb in query.group_by} | {
-            cp.table for cp in query.where
-        }
-        joins_needed = [j for j in query.joins if j.table in referenced]
-        pruner = self._zone_pruner(fact, query.fact, query.where, query.joins)
-        surviving, build = self._morsel_task_source(
-            fact, query.fact, query.where, joins_needed, key_infos, agg_specs,
-            self._spill_morsel_rows(), pruner,
-        )
         budget = self.memory_budget
         assert budget is not None
-        estimate = _grouping_state_bytes(len(fact), len(key_infos), len(agg_specs))
-
-        tracer = _active_tracer()
-        with tracer.span(
-            "engine.scan",
-            fact=query.fact,
-            spill=True,
-            morsels=len(surviving),
-        ) as span:
-            self._count_scan(fact, sum(hi - lo for _, lo, hi in surviving))
-            self.metrics.inc("engine.spill.queries")
-            with SpillAggregator(
-                key_space,
-                [op for op, _ in agg_specs],
-                budget,
-                metrics=self.metrics,
-                n_partitions=_choose_partitions(estimate, budget),
-            ) as spiller:
-                for morsel in self._stream_morsels(surviving, build, tracer):
-                    spiller.add(morsel.keys, morsel.partials)
-                merged_keys, merged = spiller.merge_all()
-                spills = spiller.spills
-            result = self._finalize_merged(
-                query, key_infos, agg_plan, merged_keys, merged
-            )
-            if tracer.enabled:
-                span.set(
-                    rows_in=len(fact),
-                    rows_out=len(result),
-                    spills=spills,
-                )
-            return result
-
-    def _spill_fused(
-        self,
-        fact: Table,
-        queries: Sequence[AggregateQuery],
-        scan_where: Sequence[ColumnPredicate],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-    ) -> "Optional[Tuple[List[ResultSet], List[bool]]]":
-        """Bounded-memory execute_fused; None → caller runs in RAM.
-
-        The finest shared partial aggregation streams through the
-        :class:`SpillAggregator` exactly like :meth:`_spill_aggregate`;
-        members are then derived from the merged finest groups with the
-        shared :meth:`_derive_fused_member` arithmetic (the merged state
-        is result-sized, not scan-sized).  ``None`` when no member would
-        be derivable — the serial fused path then runs its per-member
-        fallbacks directly.
-        """
-        fact_name = queries[0].fact
-        lowering = self._fused_lowering(fact, fact_name, queries, residuals)
-        if lowering is None:
-            self.metrics.inc("engine.spill.fallbacks")
-            return None
-        (column_key, derivable_flags, finest, key_infos, key_space,
-         agg_specs) = lowering
-
-        referenced = set()
-        for query in queries:
-            referenced |= {gb.table for gb in query.group_by}
-            referenced |= {cp.table for cp in query.where}
-        joins_needed = [j for j in queries[0].joins if j.table in referenced]
-        pruner = self._zone_pruner(fact, fact_name, scan_where, queries[0].joins)
-        surviving, build = self._morsel_task_source(
-            fact, fact_name, scan_where, joins_needed, key_infos, agg_specs,
-            self._spill_morsel_rows(), pruner,
-        )
-        budget = self.memory_budget
-        assert budget is not None
-        estimate = _grouping_state_bytes(len(fact), len(finest), len(agg_specs))
-
-        tracer = _active_tracer()
-        with tracer.span(
-            "engine.fused-scan",
-            members=len(queries),
-            spill=True,
-            morsels=len(surviving),
-        ) as span:
-            self._count_scan(fact, sum(hi - lo for _, lo, hi in surviving))
-            self.metrics.inc("engine.fused_scans")
-            self.metrics.inc("engine.spill.queries")
-            with SpillAggregator(
-                key_space,
-                [op for op, _ in agg_specs],
-                budget,
-                metrics=self.metrics,
-                n_partitions=_choose_partitions(estimate, budget),
-            ) as spiller:
-                for morsel in self._stream_morsels(surviving, build, tracer):
-                    spiller.add(morsel.keys, morsel.partials)
-                merged_keys, merged = spiller.merge_all()
-                spills = spiller.spills
-            results, flags = self._fused_from_merged(
-                fact, fact_name, queries, residuals, scan_where, joins_needed,
-                column_key, derivable_flags, finest, key_infos, agg_specs,
-                merged_keys, merged,
-            )
-            if tracer.enabled:
-                derived = int(sum(flags))
-                span.set(
-                    derived=derived,
-                    fallbacks=len(flags) - derived,
-                    rows_out=int(sum(len(result) for result in results)),
-                    spills=spills,
-                )
-            return results, flags
-
-    def _parallel_fused(
-        self,
-        fact: Table,
-        queries: Sequence[AggregateQuery],
-        scan_where: Sequence[ColumnPredicate],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-    ) -> "Optional[Tuple[List[ResultSet], List[bool]]]":
-        """Morsel-parallel execute_fused; None → caller runs serial.
-
-        Per-morsel workers compute the *finest shared* partial aggregates;
-        the deterministic merge reproduces exactly the finest grouping the
-        serial fused scan builds, and each member is then derived with the
-        shared :meth:`_derive_fused_member` arithmetic.  Members whose
-        measures fail the (full-column) exactness gate fall back to a
-        direct serial grouping pass over the shared predicates — the same
-        fallback the serial fused path uses, so results stay bit-identical
-        to standalone execution either way.
-        """
-        fact_name = queries[0].fact
-        lowering = self._fused_lowering(fact, fact_name, queries, residuals)
-        if lowering is None:
-            # Nothing would be derived from a parallel finest pass (or the
-            # folded key would overflow); let the serial fused path run
-            # its per-member fallbacks directly.
-            self.metrics.inc("engine.parallel.fallbacks")
-            return None
-        (column_key, derivable_flags, finest, key_infos, key_space,
-         agg_specs) = lowering
-
-        referenced = set()
-        for query in queries:
-            referenced |= {gb.table for gb in query.group_by}
-            referenced |= {cp.table for cp in query.where}
-        joins_needed = [j for j in queries[0].joins if j.table in referenced]
-        pruner = self._zone_pruner(fact, fact_name, scan_where, queries[0].joins)
-        tasks = self._parallel_tasks(
-            fact, fact_name, scan_where, joins_needed, key_infos, agg_specs,
-            pruner,
-        )
-
-        tracer = _active_tracer()
-        with tracer.span(
-            "engine.fused-scan",
-            members=len(queries),
-            parallel=True,
-            degree=self.parallel.degree,
-            morsels=len(tasks),
-        ) as span:
-            self._count_scan(fact, sum(task.hi - task.lo for task in tasks))
-            self.metrics.inc("engine.fused_scans")
-            self.metrics.inc("engine.parallel.queries")
-            raw = self._dispatch_morsels(tasks, tracer)
-            with tracer.span("parallel.merge", morsels=len(raw)) as merge_span:
-                merged_keys, merged = _merge_morsels(
-                    raw, [op for op, _ in agg_specs]
-                )
-                if tracer.enabled:
-                    merge_span.set(rows_out=len(merged_keys))
-            results, flags = self._fused_from_merged(
-                fact, fact_name, queries, residuals, scan_where, joins_needed,
-                column_key, derivable_flags, finest, key_infos, agg_specs,
-                merged_keys, merged,
-            )
-            if tracer.enabled:
-                derived = int(sum(flags))
-                span.set(
-                    derived=derived,
-                    fallbacks=len(flags) - derived,
-                    rows_out=int(sum(len(result) for result in results)),
-                )
-            return results, flags
-
-    def _fused_lowering(
-        self,
-        fact: Table,
-        fact_name: str,
-        queries: Sequence[AggregateQuery],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-    ):
-        """Shared lowering for the parallel and spill fused paths.
-
-        Computes per-member derivability flags (same gates as the serial
-        fused path: no avg, sums must pass the exactness gate), the finest
-        shared key list, its global dictionary infos, and the deduplicated
-        partial agg specs.  ``None`` when nothing would be derivable or
-        the folded key space would overflow int64 — the caller then runs
-        the serial fused path.
-        """
-
-        def column_key(table: str) -> str:
-            return FACT if table in (FACT, fact_name) else table
-
-        derivable_flags: List[bool] = []
-        for query in queries:
-            ok = True
-            for agg in query.aggregates:
-                if agg.op == "avg" or agg.op not in ("sum", "count", "min", "max"):
-                    ok = False
-                    break
-                if agg.op == "sum" and not fact.sums_exactly(agg.column):
-                    ok = False
-                    break
-            derivable_flags.append(ok)
-        if not any(derivable_flags):
-            return None
-
-        finest: List[Tuple[str, str]] = []
-        seen = set()
-        for query, residual in zip(queries, residuals):
-            for gb in query.group_by:
-                key = (column_key(gb.table), gb.column)
-                if key not in seen:
-                    seen.add(key)
-                    finest.append(key)
-            for cp in residual:
-                key = (column_key(cp.table), cp.column)
-                if key not in seen:
-                    seen.add(key)
-                    finest.append(key)
-
-        key_infos, key_space = self._parallel_key_info(fact, fact_name, finest)
-        if key_space >= _MAX_COMBINED_KEY:
-            return None
-
-        agg_specs: List[Tuple[str, Optional[str]]] = []
-        for query, ok in zip(queries, derivable_flags):
-            if not ok:
-                continue
-            for agg in query.aggregates:
-                key = ("count", None) if agg.op == "count" else (agg.op, agg.column)
-                if key not in agg_specs:
-                    agg_specs.append(key)
-
-        return (column_key, derivable_flags, finest, key_infos, key_space,
-                agg_specs)
-
-    def _fused_from_merged(
-        self,
-        fact: Table,
-        fact_name: str,
-        queries: Sequence[AggregateQuery],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-        scan_where: Sequence[ColumnPredicate],
-        joins_needed,
-        column_key,
-        derivable_flags: Sequence[bool],
-        finest: "Sequence[Tuple[str, str]]",
-        key_infos,
-        agg_specs: "Sequence[Tuple[str, Optional[str]]]",
-        merged_keys: np.ndarray,
-        merged: Sequence[np.ndarray],
-    ) -> "Tuple[List[ResultSet], List[bool]]":
-        """Derive every fused member from merged finest partials.
-
-        Shared by the parallel merge and the spill merge; both produce the
-        finest grouping in serial group order, so the member derivation is
-        the bit-identical :meth:`_derive_fused_member` arithmetic either
-        way.  Gate-failing members run the serial direct fallback over
-        lazily computed full-table positions and the shared scan mask.
-        """
-        codes = _decode_keys(merged_keys, [info[3] for info in key_infos])
-        finest_count = len(merged_keys)
-        group_codes = {
-            key: (code, info[3])
-            for key, info, code in zip(finest, key_infos, codes)
-        }
-        group_values = {
-            key: info[4][code]
-            for key, info, code in zip(finest, key_infos, codes)
-        }
-        slot_of = {key: i for i, key in enumerate(agg_specs)}
-
-        def partial_of(column: str, op: str) -> np.ndarray:
-            return merged[slot_of[(op, column)]]
-
-        def count_of() -> np.ndarray:
-            return merged[slot_of[("count", None)]]
-
-        # Fallback members need full-table positions and the shared
-        # scan mask; computed serially, once, only if some member
-        # actually falls back.
-        full_state: Dict[str, object] = {}
-
-        def full_positions_mask():
-            if "positions" not in full_state:
-                positions: Dict[str, np.ndarray] = {}
-                for join in joins_needed:
-                    dimension = self.catalog.table(join.table)
-                    index = dimension.key_index(join.dim_key)
-                    positions[join.table] = index.positions_of(
-                        fact.column(join.fact_fk)
-                    )
-                full_state["positions"] = positions
-                full_state["mask"] = self._predicate_mask(
-                    fact, fact_name, scan_where, positions
-                )
-            return full_state["positions"], full_state["mask"]
-
-        results: List[ResultSet] = []
-        for query, residual, ok in zip(queries, residuals, derivable_flags):
-            if ok:
-                results.append(
-                    self._derive_fused_member(
-                        query, residual, column_key, group_codes,
-                        group_values, finest_count, partial_of, count_of,
-                    )
-                )
-                self.metrics.inc("engine.fused_derived")
+        with SpillAggregator(
+            key_space, ops, budget, metrics=self.metrics,
+            n_partitions=_choose_partitions(estimate, budget),
+        ) as spiller:
+            if self.parallel is not None and self.parallel.enabled:
+                wave = self.parallel.degree * 4
+                while True:
+                    batch = list(itertools.islice(tasks, wave))
+                    if not batch:
+                        break
+                    for morsel in self._run_pool(batch, tracer):
+                        spiller.add(morsel.keys, morsel.partials)
             else:
-                positions, base_mask = full_positions_mask()
-                results.append(
-                    self._fused_member_direct(
-                        fact, query, residual, positions, base_mask
-                    )
-                )
-                self.metrics.inc("engine.fused_fallbacks")
-        return results, list(derivable_flags)
+                for task in tasks:
+                    morsel = run_morsel(task)
+                    spiller.add(morsel.keys, morsel.partials)
+            keys, merged = spiller.merge_all()
+            return keys, merged, spiller.spills
 
     # ------------------------------------------------------------------
     # Drill-across (JOP)
@@ -1566,103 +789,133 @@ class EngineExecutor:
                 columns[new_name] = _gather_float(source, member_rows)
         return ResultSet(columns)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _dimension_positions(
-        self, fact: Table, query: AggregateQuery, ranges: Ranges = None
-    ) -> Dict[str, np.ndarray]:
-        """Resolve each referenced dimension's FK column to row positions.
 
-        With a zone-pruned ``ranges`` selection only the surviving fact
-        rows' foreign keys are gathered and resolved.
-        """
-        referenced = {gb.table for gb in query.group_by} | {
-            cp.table for cp in query.where
-        }
-        positions: Dict[str, np.ndarray] = {}
-        for join in query.joins:
-            if join.table not in referenced:
-                continue  # join elimination: untouched dimensions are skipped
-            dimension = self.catalog.table(join.table)
-            index = dimension.key_index(join.dim_key)
-            positions[join.table] = index.positions_of(
-                fact.gather(join.fact_fk, ranges)
-            )
-        return positions
+# ----------------------------------------------------------------------
+# Fact-pass helpers
+# ----------------------------------------------------------------------
+def _column_key(fact_name: str, table: str, column: str) -> Tuple[str, str]:
+    """A key column's identity, with fact-resident columns under ``FACT``."""
+    return (FACT if table in (FACT, fact_name) else table, column)
 
-    def _selection_mask(
-        self,
-        fact: Table,
-        query: AggregateQuery,
-        positions: Dict[str, np.ndarray],
-        ranges: Ranges = None,
-    ) -> Optional[np.ndarray]:
-        return self._predicate_mask(fact, query.fact, query.where, positions, ranges)
 
-    def _predicate_mask(
-        self,
-        fact: Table,
-        fact_name: str,
-        predicates: Sequence[ColumnPredicate],
-        positions: Dict[str, np.ndarray],
-        ranges: Ranges = None,
-    ) -> Optional[np.ndarray]:
-        mask: Optional[np.ndarray] = None
-        for cp in predicates:
-            if cp.table in (FACT, fact_name):
-                part = cp.predicate.mask(fact.gather(cp.column, ranges))
+def _finest_key(
+    fact_name: str,
+    queries: Sequence[AggregateQuery],
+    residuals: Sequence[Sequence[ColumnPredicate]],
+) -> List[Tuple[str, str]]:
+    """Every member grouping and residual predicate column, in first-use order."""
+    finest: List[Tuple[str, str]] = []
+    for query, residual in zip(queries, residuals):
+        columns = [(gb.table, gb.column) for gb in query.group_by]
+        columns += [(cp.table, cp.column) for cp in residual]
+        for table, column in columns:
+            key = _column_key(fact_name, table, column)
+            if key not in finest:
+                finest.append(key)
+    return finest
+
+
+def _partial_slots(
+    queries: Sequence[AggregateQuery],
+) -> List[Tuple[str, Optional[str]]]:
+    """The distinct ``(op, column)`` partials a pass computes.
+
+    Ops are sum, count, min and max; avg lowers to a sum and a count
+    partial, divided when the member is finished.
+    """
+    slots: List[Tuple[str, Optional[str]]] = []
+    for query in queries:
+        for agg in query.aggregates:
+            if agg.op == "count":
+                needed = [("count", None)]
+            elif agg.op == "avg":
+                needed = [("sum", agg.column), ("count", None)]
+            elif agg.op in ("sum", "min", "max"):
+                needed = [(agg.op, agg.column)]
             else:
-                dimension = self.catalog.table(cp.table)
-                dim_mask = cp.predicate.mask(dimension.column(cp.column))
-                part = dim_mask[positions[cp.table]]
-            mask = part if mask is None else (mask & part)
-        return mask
-
-    def _gather_column(
-        self,
-        fact: Table,
-        table: str,
-        column: str,
-        positions: Dict[str, np.ndarray],
-        mask: Optional[np.ndarray],
-    ) -> np.ndarray:
-        if table in (FACT, fact.name):
-            values = fact.column(column)
-            return values if mask is None else values[mask]
-        dimension = self.catalog.table(table)
-        pos = positions[table]
-        if mask is not None:
-            pos = pos[mask]
-        return dimension.column(column)[pos]
+                raise EngineError(f"unsupported aggregation operator {agg.op!r}")
+            for slot in needed:
+                if slot not in slots:
+                    slots.append(slot)
+    return slots
 
 
-# ----------------------------------------------------------------------
-# Kernels
-# ----------------------------------------------------------------------
-def _aggregate(
-    group_ids: np.ndarray, group_count: int, measure: np.ndarray, op: str
-) -> np.ndarray:
-    """Aggregate one measure column per group."""
-    measure = np.asarray(measure, dtype=np.float64)
-    if op == "sum":
-        return np.bincount(group_ids, weights=measure, minlength=group_count)
-    if op == "count":
-        return np.bincount(group_ids, minlength=group_count).astype(np.float64)
-    if op == "avg":
-        totals = np.bincount(group_ids, weights=measure, minlength=group_count)
-        counts = np.bincount(group_ids, minlength=group_count)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return totals / counts
-    if op == "min":
-        out = np.full(group_count, np.inf)
-        np.minimum.at(out, group_ids, measure)
-        return out
-    if op == "max":
-        out = np.full(group_count, -np.inf)
-        np.maximum.at(out, group_ids, measure)
-        return out
-    raise EngineError(f"unsupported aggregation operator {op!r}")
+def _derivable(fact: Table, query: AggregateQuery) -> bool:
+    """Whether a fused member re-aggregates exactly from finest partials."""
+    return all(
+        agg.op in ("count", "min", "max")
+        or (agg.op == "sum" and fact.sums_exactly(agg.column))
+        for agg in query.aggregates
+    )
+
+
+class _Groups(NamedTuple):
+    """The merged finest groups of one fact pass, decoded."""
+
+    finest: List[Tuple[str, str]]  # the key columns
+    codes: List[np.ndarray]  # each key column's dictionary code per group
+    cardinalities: List[int]
+    values: List[np.ndarray]  # each key column's value per group
+    count: int
+    partials: "Dict[Tuple[str, Optional[str]], np.ndarray]"  # per slot
+
+
+def _finish(
+    fact_name: str,
+    query: AggregateQuery,
+    residual: Sequence[ColumnPredicate],
+    groups: _Groups,
+) -> ResultSet:
+    """Finalize or derive one member from the merged finest groups.
+
+    A member whose key is the finest key and which has no residual takes
+    the merged groups as they are.  Any other member re-aggregates them
+    with the distributive rules, residual predicates evaluated on the
+    finest-group values (residual columns are part of the finest key, so
+    they are constant within each finest group).
+    """
+    position = {key: i for i, key in enumerate(groups.finest)}
+    rmask: Optional[np.ndarray] = None
+    for cp in residual:
+        values = groups.values[position[_column_key(fact_name, cp.table, cp.column)]]
+        part = cp.predicate.mask(values)
+        rmask = part if rmask is None else (rmask & part)
+
+    def pick(array: np.ndarray) -> np.ndarray:
+        return array if rmask is None else array[rmask]
+
+    member = [
+        position[_column_key(fact_name, gb.table, gb.column)]
+        for gb in query.group_by
+    ]
+    ids: Optional[np.ndarray] = None
+    count = groups.count
+    first: object = slice(None)
+    if rmask is not None or member != list(range(len(groups.finest))):
+        ids, count, first = _combine_codes(
+            [(pick(groups.codes[i]), groups.cardinalities[i]) for i in member],
+            count if rmask is None else int(rmask.sum()),
+        )
+
+    def partial(slot: Tuple[str, Optional[str]], reagg: str) -> np.ndarray:
+        values = pick(groups.partials[slot])
+        return values if ids is None else aggregate(ids, count, values, reagg)
+
+    columns: Dict[str, np.ndarray] = {
+        gb.alias: pick(groups.values[i])[first]
+        for gb, i in zip(query.group_by, member)
+    }
+    for agg in query.aggregates:
+        if agg.op == "avg":
+            totals = partial(("sum", agg.column), "sum")
+            counts = partial(("count", None), "sum")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                columns[agg.alias] = totals / counts
+        elif agg.op == "count":
+            columns[agg.alias] = partial(("count", None), "sum")
+        else:
+            columns[agg.alias] = partial((agg.op, agg.column), agg.op)
+    return ResultSet(columns)
 
 
 def _joint_codes(

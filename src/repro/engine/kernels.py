@@ -20,6 +20,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.aggregate import combine_codes
+
 
 def encode_column(column: np.ndarray) -> Tuple[np.ndarray, int]:
     """Dense integer codes of one column plus its cardinality."""
@@ -45,48 +47,6 @@ def sums_exactly(values: np.ndarray) -> bool:
         return False
     bound = float(np.abs(floats).max()) * len(floats)
     return bound < 2.0**53
-
-
-def combine_codes(
-    code_columns: "Sequence[Tuple[np.ndarray, int]]", n_rows: int
-) -> Tuple[np.ndarray, int, np.ndarray]:
-    """Fold pre-encoded ``(codes, cardinality)`` columns into dense group ids.
-
-    This is the production group-by fold: per-column integer codes are
-    combined into one lexicographic key, factorised once more.  Group ids
-    follow the combined-code sort order, i.e. the lexicographic order of the
-    key columns' code order.  With no grouping columns everything is one
-    group (complete aggregation).
-
-    When the combined key space is small relative to the row count the
-    factorisation runs through a counting pass (``np.bincount``) instead of
-    ``np.unique``'s sort — O(n + key_space) versus O(n log n), with the same
-    sorted-key group order and first-occurrence representatives.
-    """
-    if not code_columns:
-        group_ids = np.zeros(n_rows, dtype=np.int64)
-        first = np.zeros(1 if n_rows else 0, dtype=np.int64)
-        return group_ids, (1 if n_rows else 0), first
-    combined = np.zeros(len(code_columns[0][0]), dtype=np.int64)
-    key_space = 1
-    for codes, cardinality in code_columns:
-        combined = combined * cardinality + codes
-        key_space *= max(1, int(cardinality))
-    if combined.size and key_space <= max(1 << 16, 2 * combined.size):
-        present = np.flatnonzero(np.bincount(combined, minlength=key_space))
-        lookup = np.empty(key_space, dtype=np.int64)
-        lookup[present] = np.arange(len(present), dtype=np.int64)
-        group_ids = lookup[combined]
-        # reversed assignment leaves each slot holding its first occurrence
-        first = np.empty(len(present), dtype=np.int64)
-        first[group_ids[::-1]] = np.arange(
-            combined.size - 1, -1, -1, dtype=np.int64
-        )
-        return group_ids, len(present), first
-    uniques, first, group_ids = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    return group_ids.astype(np.int64, copy=False), len(uniques), first
 
 
 def factorize_numpy(

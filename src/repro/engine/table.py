@@ -172,6 +172,8 @@ class Table:
         stored = self._data[name] if name in self._data else self._missing(name)
         if isinstance(stored, np.ndarray):
             return take_ranges(stored, ranges)
+        if ranges is not None and len(ranges) == 1:  # a morsel: no concat copy
+            return stored.window(*ranges[0])
         return stored.gather(ranges)
 
     def window(self, name: str, lo: int, hi: int) -> np.ndarray:

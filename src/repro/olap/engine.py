@@ -104,12 +104,12 @@ class MultidimensionalEngine:
     ) -> None:
         """Enable (or disable) morsel-driven parallel execution.
 
-        ``degree`` ≤ 1 or ``None`` turns parallelism off — the executor
-        keeps its serial paths with zero overhead.  Otherwise eligible
-        fact passes are split into ``morsel_rows``-row morsels, run on a
-        ``backend`` worker pool and merged deterministically; results
-        stay bit-identical to serial (docs/performance.md, "Parallel
-        execution").  Cached results and fingerprints are unaffected —
+        ``degree`` ≤ 1 or ``None`` turns parallelism off — every fact
+        pass runs as one inline morsel.  Otherwise eligible fact passes
+        are split into ``morsel_rows``-row morsels, run on a ``backend``
+        worker pool and merged deterministically; results stay
+        bit-identical to the inline pass (docs/performance.md,
+        "Execution: one fact pass").  Cached results and fingerprints are unaffected —
         parallelism changes *how* a scan runs, never what it answers.
         """
         from ..parallel.config import ParallelConfig

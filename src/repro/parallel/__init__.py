@@ -3,16 +3,17 @@
 Public surface:
 
 * :class:`ParallelConfig` — degree / morsel size / backend / eligibility.
-* :func:`morsel_ranges`, :func:`run_morsel` — task partitioning + worker.
+* :func:`cut_selection`, :func:`morsel_ranges`, :func:`run_morsel` —
+  morsel cutting + worker.
 * :func:`merge_morsels`, :func:`decode_keys` — the order-stable merge.
 
 The engine integration lives in :mod:`repro.engine.executor`
-(``EngineExecutor.parallel``); sessions enable it via
-``AssessSession(parallelism=N)`` or the ``REPRO_PARALLELISM`` environment
-variable.  Results are bit-identical to serial execution — measures that
-cannot guarantee that (fractional sums, by the
-:func:`repro.engine.kernels.sums_exactly` gate) transparently fall back
-to the serial path.  See docs/performance.md, "Parallel execution".
+(``EngineExecutor.parallel``, the *pool* dispatch of its fact pass);
+sessions enable it via ``AssessSession(parallelism=N)`` or the
+``REPRO_PARALLELISM`` environment variable.  Results are bit-identical to
+one inline morsel — passes that cannot guarantee that (fractional sums,
+by the ``Table.sums_exactly`` gate) transparently run inline.  See
+docs/performance.md, "Execution: one fact pass".
 """
 
 from .config import DEFAULT_MORSEL_ROWS, ParallelConfig, env_parallelism
@@ -25,6 +26,7 @@ from .morsel import (
     KeySpec,
     MorselResult,
     MorselTask,
+    cut_selection,
     morsel_ranges,
     run_morsel,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "MorselResult",
     "MorselTask",
     "ParallelConfig",
+    "cut_selection",
     "decode_keys",
     "env_parallelism",
     "merge_morsels",

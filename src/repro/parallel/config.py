@@ -83,9 +83,9 @@ class ParallelConfig:
             morsel_rows = env_morsel_rows() or DEFAULT_MORSEL_ROWS
         self.morsel_rows = max(int(morsel_rows), 1)
         self.backend = backend
-        # Below the floor a scan stays serial.  The default demands at
-        # least one full morsel so tiny cubes (tests, demos) keep the
-        # exact serial code path with zero behavioural change.
+        # Below the floor a scan runs as one inline morsel.  The default
+        # demands at least one full morsel so tiny cubes (tests, demos)
+        # never pay for the pool.
         self.min_rows = self.morsel_rows if min_rows is None else max(int(min_rows), 0)
         self._pool = None
 

@@ -1,15 +1,16 @@
 """Morsel tasks and the per-morsel worker.
 
-A *morsel* is a contiguous range of fact rows.  The driver (the engine
-executor) slices every per-row input — foreign-key columns, fact-resident
-predicate columns, dictionary codes, measures — into one
-:class:`MorselTask` per range and dispatches them to the worker pool.
-:func:`run_morsel` then performs the whole scan pipeline locally:
-semi-join position resolution, predicate masking, group-key folding, and
-partial aggregation, returning a :class:`MorselResult` of *global*
-combined group keys with per-key partials.
+A *morsel* is a run of ``morsel_rows`` consecutive surviving fact rows of
+one fact pass (:func:`cut_selection` cuts them from the zone-pruned row
+ranges).  The driver (the engine executor) gathers every per-row input —
+foreign-key columns, fact-resident predicate columns, dictionary codes,
+measures — into one :class:`MorselTask` per morsel.  :func:`run_morsel`
+then performs the whole scan pipeline locally: semi-join position
+resolution, predicate masking, group-key folding, and partial
+aggregation, returning a :class:`MorselResult` of *global* combined group
+keys with per-key partials.
 
-Everything in a task is either a NumPy slice (zero-copy under the thread
+Everything in a task is either a NumPy array (zero-copy under the thread
 backend, pickled by value under the process backend) or a small shared
 object (a key index, a pre-computed dimension mask).  This module
 deliberately imports nothing from :mod:`repro.engine` — tasks treat
@@ -18,30 +19,54 @@ acyclic and the worker importable from a process pool.
 
 Determinism contract (see :mod:`repro.parallel.merge`): the combined
 group keys a worker emits are *globally* comparable because every code
-column is encoded against the full table's dictionary before slicing —
-morsels never build private dictionaries.  Folding uses the same
-``combined * cardinality + codes`` recurrence as the serial executor, so
-a group's key is the same integer no matter which morsel(s) it appears
-in, and the merged sorted-key order reproduces the serial group order
-exactly.
+column is encoded against the full table's dictionary — morsels never
+build private dictionaries.  Folding uses
+:func:`repro.core.aggregate.fold_codes`, so a group's key is the same
+integer no matter which morsel(s) it appears in, and the merged
+sorted-key order is the group order of a one-morsel pass.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+
+from ..core.aggregate import aggregate, fold_codes, group_keys
 
 
 def morsel_ranges(n_rows: int, morsel_rows: int) -> List[Tuple[int, int]]:
     """Split ``n_rows`` into contiguous ``[lo, hi)`` ranges."""
-    if n_rows <= 0:
-        return []
+    return [morsel[0] for morsel in cut_selection(None, n_rows, morsel_rows)]
+
+
+def cut_selection(
+    ranges: Optional[List[Tuple[int, int]]], n_rows: int, morsel_rows: int
+) -> List[List[Tuple[int, int]]]:
+    """Cut a row selection into morsels of ``morsel_rows`` selected rows.
+
+    ``ranges`` are ordered, disjoint ``[lo, hi)`` fact-row ranges
+    (``None`` selects all ``n_rows``).  Each morsel is the list of
+    fact-row ranges holding its rows, in row order; only the last morsel
+    may be short.
+    """
     morsel_rows = max(int(morsel_rows), 1)
-    return [
-        (lo, min(lo + morsel_rows, n_rows)) for lo in range(0, n_rows, morsel_rows)
-    ]
+    morsels: List[List[Tuple[int, int]]] = []
+    current: List[Tuple[int, int]] = []
+    filled = 0
+    for lo, hi in [(0, n_rows)] if ranges is None else ranges:
+        while lo < hi:
+            take = min(hi - lo, morsel_rows - filled)
+            current.append((lo, lo + take))
+            lo += take
+            filled += take
+            if filled == morsel_rows:
+                morsels.append(current)
+                current, filled = [], 0
+    if current:
+        morsels.append(current)
+    return morsels
 
 
 class JoinSpec(NamedTuple):
@@ -49,11 +74,11 @@ class JoinSpec(NamedTuple):
 
     alias: str  # dimension alias, referenced by dim predicates / key specs
     index: object  # the dimension's KeyIndex (opaque; exposes positions_of)
-    fk_values: np.ndarray  # this morsel's slice of the fact FK column
+    fk_values: np.ndarray  # this morsel's rows of the fact FK column
 
 
 class FactPredicate(NamedTuple):
-    """A predicate over a fact-resident column (pre-sliced)."""
+    """A predicate over a fact-resident column (this morsel's rows)."""
 
     predicate: object  # opaque; exposes mask(values) -> bool array
     values: np.ndarray
@@ -64,7 +89,7 @@ class DimPredicate(NamedTuple):
 
     The (tiny) dimension-side mask is computed once by the driver and
     shared by every morsel; the worker just propagates it through the
-    morsel's FK positions — the same semi-join the serial path performs.
+    morsel's FK positions (the semi-join).
     """
 
     alias: str
@@ -74,8 +99,8 @@ class DimPredicate(NamedTuple):
 class KeySpec(NamedTuple):
     """One column of the group-by key, already dictionary-encoded.
 
-    ``kind == "fact"``: ``codes`` is this morsel's slice of the fact
-    column's global dictionary codes.  ``kind == "dim"``: ``codes`` is
+    ``kind == "fact"``: ``codes`` are the fact column's global dictionary
+    codes of this morsel's rows.  ``kind == "dim"``: ``codes`` is
     the *whole* dimension column's codes, gathered through the morsel's
     FK positions by the worker.
     """
@@ -89,10 +114,9 @@ class KeySpec(NamedTuple):
 class AggSpec(NamedTuple):
     """One physical partial aggregate: op in {sum, count, min, max}.
 
-    ``values`` is the morsel's measure slice (``None`` for count).  The
+    ``values`` are the morsel's measure values (``None`` for count).  The
     driver lowers logical aggregates onto these: ``avg`` becomes a sum
-    partial plus a count partial, divided after the merge — exactly the
-    totals/counts division the serial kernel performs.
+    partial plus a count partial, divided after the merge.
     """
 
     op: str
@@ -100,6 +124,12 @@ class AggSpec(NamedTuple):
 
 
 class MorselTask(NamedTuple):
+    """One morsel: rows ``[lo, hi)`` of the pass's surviving-row sequence.
+
+    Positions count surviving rows only, so a zone-pruned pass cuts its
+    morsels from what is left and ``hi - lo`` is the rows the task scans.
+    """
+
     index: int
     lo: int
     hi: int
@@ -119,13 +149,14 @@ class MorselResult(NamedTuple):
     seconds: float
 
 
-def run_morsel(task: MorselTask) -> MorselResult:
-    """Execute one morsel: semi-join, mask, fold, partial-aggregate.
+def select_rows(
+    task: MorselTask,
+) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray], int]:
+    """The semi-join: FK positions, the predicate mask, the matched rows.
 
-    Runs entirely on worker-local arrays; emits no traces and touches no
-    shared mutable state, so it is safe under both pool backends.
+    Returns ``(positions, mask, matched)``; ``mask`` is ``None`` when no
+    predicate applies and every row of the morsel matches.
     """
-    start = time.perf_counter()
     positions = {}
     for alias, index, fk_values in task.joins:
         positions[alias] = index.positions_of(fk_values)
@@ -137,72 +168,55 @@ def run_morsel(task: MorselTask) -> MorselResult:
     for alias, dim_mask in task.dim_predicates:
         part = dim_mask[positions[alias]]
         mask = part if mask is None else (mask & part)
+    matched = task.hi - task.lo if mask is None else int(mask.sum())
+    return positions, mask, matched
 
-    rows_in = task.hi - task.lo
-    n = rows_in if mask is None else int(mask.sum())
 
-    # Fold the group key with the serial executor's exact recurrence over
-    # the same global dictionary codes — keys are globally comparable.
-    combined = np.zeros(n, dtype=np.int64)
+def partial_aggregate(
+    task: MorselTask,
+    positions: Dict[str, np.ndarray],
+    mask: Optional[np.ndarray],
+    matched: int,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Fold the group key of the matched rows and compute every partial.
+
+    Returns the sorted distinct combined keys and one partial per
+    :class:`AggSpec`, aligned with the keys.
+    """
+    code_columns = []
     for kind, alias, codes, cardinality in task.keys:
         if kind == "fact":
             column_codes = codes if mask is None else codes[mask]
         else:
             pos = positions[alias]
-            if mask is not None:
-                pos = pos[mask]
-            column_codes = codes[pos]
-        combined = combined * cardinality + column_codes
+            column_codes = codes[pos if mask is None else pos[mask]]
+        code_columns.append((column_codes, cardinality))
+    keys, group_ids = group_keys(*fold_codes(code_columns, matched))
 
-    keys, local_ids = np.unique(combined, return_inverse=True)
-    count = len(keys)
+    partials = [
+        aggregate(
+            group_ids, len(keys),
+            values if values is None or mask is None else values[mask], op,
+        )
+        for op, values in task.aggs
+    ]
+    return keys, partials
 
-    partials: List[np.ndarray] = []
-    for op, values in task.aggs:
-        if op == "count":
-            partials.append(
-                np.bincount(local_ids, minlength=count).astype(np.float64)
-            )
-            continue
-        assert values is not None
-        measure = values if mask is None else values[mask]
-        measure = np.asarray(measure, dtype=np.float64)
-        if op == "sum":
-            partials.append(
-                np.bincount(local_ids, weights=measure, minlength=count)
-            )
-        elif op == "min":
-            out = np.full(count, np.inf)
-            np.minimum.at(out, local_ids, measure)
-            partials.append(out)
-        elif op == "max":
-            out = np.full(count, -np.inf)
-            np.maximum.at(out, local_ids, measure)
-            partials.append(out)
-        else:  # pragma: no cover - driver never emits other ops
-            raise ValueError(f"unsupported partial aggregate {op!r}")
 
+def run_morsel(task: MorselTask) -> MorselResult:
+    """Execute one morsel: semi-join, mask, fold, partial-aggregate.
+
+    Runs entirely on worker-local arrays; emits no traces and touches no
+    shared mutable state, so it is safe under both pool backends.
+    """
+    start = time.perf_counter()
+    positions, mask, matched = select_rows(task)
+    keys, partials = partial_aggregate(task, positions, mask, matched)
     return MorselResult(
         index=task.index,
         keys=keys,
         partials=partials,
-        rows_in=rows_in,
-        rows_matched=n,
+        rows_in=task.hi - task.lo,
+        rows_matched=matched,
         seconds=time.perf_counter() - start,
     )
-
-
-def slice_task_arrays(task: MorselTask) -> int:  # pragma: no cover - debug aid
-    """Approximate bytes a task ships to a worker (process backend sizing)."""
-    total = 0
-    for _, _, fk in task.joins:
-        total += fk.nbytes
-    for _, values in task.fact_predicates:
-        total += values.nbytes
-    for spec in task.keys:
-        if spec.kind == "fact":
-            total += spec.codes.nbytes
-    for _, values in task.aggs:
-        if values is not None:
-            total += values.nbytes
-    return total

@@ -192,7 +192,10 @@ class TestSpanShapes:
                 assert "step" in span.attrs
         assert root.attrs["rows_out"] == len(result)
 
-    def test_engine_scan_children(self):
+    def test_engine_scan_children(self, monkeypatch):
+        # the semi-join/group-by children belong to an inline (serial) scan
+        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
+        monkeypatch.delenv("REPRO_MORSEL_ROWS", raising=False)
         session = _fresh_sales_session()
         with tracing() as tracer:
             session.assess(SALES_STATEMENT, plan="NP")

@@ -315,7 +315,10 @@ def test_set_parallelism_off_restores_serial():
 # ----------------------------------------------------------------------
 # Cost model: parallel pricing
 # ----------------------------------------------------------------------
-def test_cost_model_prices_parallel_below_serial_on_big_scans():
+def test_cost_model_prices_parallel_below_serial_on_big_scans(monkeypatch):
+    # the serial arm must stay serial whatever the environment asks for
+    monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
+    monkeypatch.delenv("REPRO_MORSEL_ROWS", raising=False)
     serial = AssessSession(sales_engine(n_rows=20_000, seed=5))
     parallel = _parallel_session(degree=4, n_rows=20_000)
     for session in (serial, parallel):

@@ -367,6 +367,38 @@ def test_parallel_pruning_skips_morsels():
     assert counters.get("engine.storage.morsels_pruned", 0) > 0
 
 
+@pytest.mark.parametrize("tier", ["inline", "pool", "streamed"])
+def test_pruned_scan_accounting_on_every_tier(tier):
+    """Every dispatch of a pruned fact pass scans exactly the surviving
+    rows: scanned plus pruned rows add up to the fact table, and the scan
+    span reports the same row count as the counter."""
+    from repro.obs import tracing
+
+    base = prepare_engine(40_000)
+    clustered = compress_catalog(
+        base.catalog, zone_rows=2_048,
+        cluster={"ssb_lineorder": "lo_datekey"},
+    )
+    engine = ssb_engine_from_catalog(clustered)
+    engine.result_cache.enabled = False
+    session = AssessSession(engine)
+    session.set_parallelism(2 if tier == "pool" else None, morsel_rows=4_096)
+    session.set_memory_budget(8_192 if tier == "streamed" else None)
+    fact_rows = len(engine.catalog.table("ssb_lineorder"))
+
+    with tracing() as tracer:
+        session.assess(PRUNING_STATEMENT)
+    counters = engine.metrics.snapshot()["counters"]
+    scanned = counters["engine.rows_scanned"]
+    assert counters["engine.scans"] == 1
+    assert scanned + counters["engine.storage.rows_pruned"] == fact_rows
+    scans = [
+        span for root in tracer.roots for span in root.walk()
+        if span.name == "engine.scan"
+    ]
+    assert [span.attrs["rows_in"] for span in scans] == [scanned]
+
+
 # ----------------------------------------------------------------------
 # Differential: saved v2 store, memory-mapped, vs the in-RAM original
 # ----------------------------------------------------------------------
