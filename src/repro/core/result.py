@@ -117,9 +117,28 @@ class AssessResult:
                 labels[row],
             )
 
+    def coordinate_order(self) -> np.ndarray:
+        """The row permutation that sorts cells by coordinate.
+
+        Coordinates compare level by level on the ``repr`` of their
+        members (so integer members sort as strings: ``10 < 9``); ties
+        keep storage order.  Each level's members are ranked by ``repr``
+        once, and the ranks are ``lexsort``-ed.  :meth:`cells` and the
+        server's wire format both use this order.
+        """
+        columns = [self.cube.coords[level] for level in self.cube.group_by.levels]
+        if not columns:
+            return np.arange(len(self))
+        ranks = [
+            np.unique(np.array([repr(m) for m in column], dtype=str), return_inverse=True)[1]
+            for column in columns
+        ]
+        return np.lexsort(ranks[::-1])
+
     def cells(self) -> List[AssessedCell]:
         """All assessed cells, sorted by coordinate for determinism."""
-        return sorted(self, key=lambda cell: tuple(map(repr, cell.coordinate)))
+        cells = list(self)
+        return [cells[row] for row in self.coordinate_order().tolist()]
 
     def label_of(self, coordinate: Coordinate) -> Optional[str]:
         """The label assigned to one coordinate."""

@@ -115,7 +115,6 @@ class Table:
                 )
             self._data[column_name] = stored
         self._n = length or 0
-        self.columns: Mapping[str, np.ndarray] = _ColumnsView(self)
         self._key_indexes: Dict[str, "KeyIndex"] = {}
         self._dictionaries: Dict[str, Tuple[np.ndarray, int]] = {}
         self._dictionary_values: Dict[str, np.ndarray] = {}
@@ -126,6 +125,16 @@ class Table:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._n
+
+    @property
+    def columns(self) -> Mapping[str, np.ndarray]:
+        """Column name → decoded array, as a read-only view.
+
+        A fresh view per access: a view stored on the table would close
+        a reference cycle, and a replaced table would then wait for the
+        cyclic garbage collector instead of being freed at once.
+        """
+        return _ColumnsView(self)
 
     @property
     def column_names(self) -> Tuple[str, ...]:

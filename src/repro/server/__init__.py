@@ -7,7 +7,7 @@ isolated catalog, engine, semantic cache, and a pool of
 the full stack — semantic cache, batched fusion, parallel morsels,
 spill tier, telemetry — without sharing state across tenants.
 
-Endpoints (all JSON, schema version 1 — see ``docs/server.md``):
+Endpoints (all JSON, schema version 2 — see ``docs/server.md``):
 
 * ``POST /v1/query``   — one assess statement
 * ``POST /v1/batch``   — a statement batch with fused shared scans

@@ -17,11 +17,16 @@ request life cycle for ``POST /v1/query``:
    the session to the pool when it finishes either way, so a timed-out
    request can never leak or corrupt a pooled session;
 6. **response** — the serialized result (``repro.server.wire``), bit-
-   identical to direct :class:`~repro.api.AssessSession` execution.
+   identical to direct :class:`~repro.api.AssessSession` execution,
+   with a ``Server-Timing`` header that times the ``lint``, ``exec``,
+   ``serialize`` and ``encode`` phases.  Connections run with
+   ``TCP_NODELAY``, and every response leaves in a single write: a
+   header write followed by a body write would wait out the client's
+   delayed ACK under Nagle's algorithm.
 
 Error envelope (every non-200)::
 
-    {"schema_version": 1,
+    {"schema_version": 2,
      "error": {"status": 422, "code": "lint_failed",
                "message": "...", "diagnostics": [...]}}
 
@@ -34,6 +39,7 @@ query-log records.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -50,6 +56,17 @@ from .wire import (
 )
 
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+SERVER_TIMING_PHASES = ("lint", "exec", "serialize", "encode")
+"""The phases a ``Server-Timing`` header reports, in request order."""
+
+
+@contextlib.contextmanager
+def _phase(phases: Dict[str, float], name: str):
+    """Record the wall time of the ``with`` body as ``phases[name]``."""
+    began = time.perf_counter()
+    yield
+    phases[name] = time.perf_counter() - began
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -306,9 +323,12 @@ class ReproServer:
             raise LintFailure(bag, statement_index=index)
 
     # ------------------------------------------------------------------
-    # Endpoint bodies (return (status, document) or (status, text, mime))
+    # Endpoint bodies (a document; query and batch add their phase times)
     # ------------------------------------------------------------------
-    def handle_query(self, payload: Dict[str, object]) -> Dict[str, object]:
+    def handle_query(
+        self, payload: Dict[str, object]
+    ) -> Tuple[Dict[str, object], Dict[str, float]]:
+        """The ``/v1/query`` body and its phase times in seconds."""
         tenant = self._tenant(payload)
         plan = self._plan(payload)
         statement = self._statement(payload)
@@ -316,20 +336,28 @@ class ReproServer:
         start = time.perf_counter()
 
         def work(session):
-            self._lint(session, statement)
+            phases: Dict[str, float] = {}
+            with _phase(phases, "lint"):
+                self._lint(session, statement)
             deadline.check("planning")
-            result = session.assess(statement, plan=plan)
-            return serialize_result(result)
+            with _phase(phases, "exec"):
+                result = session.assess(statement, plan=plan)
+            with _phase(phases, "serialize"):
+                document = serialize_result(result)
+            return document, phases
 
-        document = self._execute(tenant, deadline, work)
+        document, phases = self._execute(tenant, deadline, work)
         document.update(
             schema_version=SCHEMA_VERSION,
             tenant=tenant.tenant_id,
             elapsed_s=round(time.perf_counter() - start, 9),
         )
-        return document
+        return document, phases
 
-    def handle_batch(self, payload: Dict[str, object]) -> Dict[str, object]:
+    def handle_batch(
+        self, payload: Dict[str, object]
+    ) -> Tuple[Dict[str, object], Dict[str, float]]:
+        """The ``/v1/batch`` body and its phase times in seconds."""
         tenant = self._tenant(payload)
         plan = self._plan(payload)
         statements = payload.get("statements")
@@ -346,19 +374,24 @@ class ReproServer:
         start = time.perf_counter()
 
         def work(session):
-            for index, statement in enumerate(statements):
-                self._lint(session, statement, index=index)
+            phases: Dict[str, float] = {}
+            with _phase(phases, "lint"):
+                for index, statement in enumerate(statements):
+                    self._lint(session, statement, index=index)
             deadline.check("planning")
-            batch = session.execute_many(list(statements), plan=plan)
-            return serialize_batch(batch)
+            with _phase(phases, "exec"):
+                batch = session.execute_many(list(statements), plan=plan)
+            with _phase(phases, "serialize"):
+                document = serialize_batch(batch)
+            return document, phases
 
-        document = self._execute(tenant, deadline, work)
+        document, phases = self._execute(tenant, deadline, work)
         document.update(
             schema_version=SCHEMA_VERSION,
             tenant=tenant.tenant_id,
             elapsed_s=round(time.perf_counter() - start, 9),
         )
-        return document
+        return document, phases
 
     def handle_explain(self, payload: Dict[str, object]) -> Dict[str, object]:
         tenant = self._tenant(payload)
@@ -436,35 +469,49 @@ def _make_handler(app: ReproServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-assess/1"
+        # TCP_NODELAY on every accepted connection.
+        disable_nagle_algorithm = True
 
         # Quiet by default: the serving loop must not spam test output.
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass
 
         # -- plumbing ---------------------------------------------------
+        def _send(
+            self, status: int, body: bytes, mime: str,
+            headers: Optional[Dict[str, str]] = None,
+        ) -> None:
+            """Write the status line, headers and body in one send."""
+            self.log_request(status)
+            lines = [
+                f"{self.protocol_version} {status} {self.responses[status][0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                f"Content-Type: {mime}",
+                f"Content-Length: {len(body)}",
+            ]
+            lines.extend(f"{name}: {value}" for name, value in (headers or {}).items())
+            lines.append("\r\n")
+            self.wfile.write("\r\n".join(lines).encode("latin-1") + body)
+
         def _send_document(
             self, status: int, document: Dict[str, object],
             headers: Optional[Dict[str, str]] = None,
+            phases: Optional[Dict[str, float]] = None,
         ) -> None:
+            headers = dict(headers or {})
+            began = time.perf_counter()
             body = json.dumps(
                 document, sort_keys=True, separators=(",", ":"),
                 allow_nan=False,
             ).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_text(self, status: int, text: str, mime: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", mime)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if phases is not None:
+                phases = dict(phases, encode=time.perf_counter() - began)
+                headers["Server-Timing"] = ", ".join(
+                    f"{name};dur={1000.0 * phases[name]:.3f}"
+                    for name in SERVER_TIMING_PHASES
+                )
+            self._send(status, body, "application/json", headers)
 
         def _send_error_envelope(self, error: RequestError) -> None:
             headers = {}
@@ -502,16 +549,20 @@ def _make_handler(app: ReproServer):
             return payload
 
         # -- routing ----------------------------------------------------
-        def _route(self, method: str) -> Tuple[int, object, Optional[str]]:
+        def _route(
+            self, method: str
+        ) -> Tuple[object, Optional[str], Optional[Dict[str, float]]]:
+            """The 200 body, its text mime type (``None`` for a JSON
+            document) and its ``Server-Timing`` phases, if timed."""
             path = self.path.split("?", 1)[0].rstrip("/") or "/"
             if method == "GET":
                 if path == "/v1/health":
-                    return 200, app.handle_health(), None
+                    return app.handle_health(), None, None
                 if path == "/v1/metrics":
-                    return 200, app.handle_metrics(), "text/plain; version=0.0.4"
+                    return app.handle_metrics(), "text/plain; version=0.0.4", None
                 if path.startswith("/v1/tenants/") and path.endswith("/stats"):
                     tenant_id = path[len("/v1/tenants/"):-len("/stats")]
-                    return 200, app.handle_tenant_stats(tenant_id), None
+                    return app.handle_tenant_stats(tenant_id), None, None
                 if path in ("/v1/query", "/v1/batch", "/v1/explain"):
                     raise RequestError(
                         405, "method_not_allowed", f"{path} requires POST"
@@ -519,11 +570,13 @@ def _make_handler(app: ReproServer):
                 raise RequestError(404, "not_found", f"unknown path {path!r}")
             if method == "POST":
                 if path == "/v1/query":
-                    return 200, app.handle_query(self._read_payload()), None
+                    document, phases = app.handle_query(self._read_payload())
+                    return document, None, phases
                 if path == "/v1/batch":
-                    return 200, app.handle_batch(self._read_payload()), None
+                    document, phases = app.handle_batch(self._read_payload())
+                    return document, None, phases
                 if path == "/v1/explain":
-                    return 200, app.handle_explain(self._read_payload()), None
+                    return app.handle_explain(self._read_payload()), None, None
                 if path in ("/v1/health", "/v1/metrics") or (
                     path.startswith("/v1/tenants/") and path.endswith("/stats")
                 ):
@@ -545,7 +598,7 @@ def _make_handler(app: ReproServer):
                 return
             try:
                 try:
-                    status, document, mime = self._route(method)
+                    document, mime, phases = self._route(method)
                 except RequestError:
                     raise
                 except AdmissionRejected as error:
@@ -562,11 +615,12 @@ def _make_handler(app: ReproServer):
                         500, "internal",
                         f"{type(error).__name__}: {error}",
                     ) from error
+                status = 200
                 if mime is not None:
-                    self._send_text(status, str(document), mime)
+                    self._send(status, str(document).encode("utf-8"), mime)
                 else:
                     assert isinstance(document, dict)
-                    self._send_document(status, document)
+                    self._send_document(status, document, phases=phases)
             except RequestError as error:
                 status = error.status
                 self._send_error_envelope(error)

@@ -8,6 +8,13 @@ comparing parsed JSON trees.  Floats round-trip exactly through
 ``json`` (``repr`` encoding); ``NaN`` is mapped to ``null`` so the
 documents stay strict JSON.
 
+A result is columnar: one member array per level under ``members``,
+and one array each for ``value``, ``benchmark``, ``comparison`` and
+``label``, all ``rows`` long and in the coordinate order of
+:meth:`~repro.core.result.AssessResult.coordinate_order`.  Row ``i``
+of every array is one cell.  The arrays are gathered with numpy and
+converted with ``tolist()``; no per-cell objects are built.
+
 The response schema is versioned (:data:`SCHEMA_VERSION`) and
 structurally validated by ``tools/check_server_schema.py``.
 """
@@ -17,18 +24,24 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-SCHEMA_VERSION = 1
-"""Bump when a response field changes meaning; the validator pins it."""
+import numpy as np
+
+SCHEMA_VERSION = 2
+"""Bump when a response field changes meaning; the validator pins it.
+
+Version 2 replaced the per-cell ``cells`` array with column arrays."""
+
+_PLAIN = frozenset((str, int, bool, type(None)))
+"""Member types that are JSON scalars as they are."""
 
 
-def _number(value) -> Optional[float]:
-    """A contract-column value as a JSON number (NaN/None → null)."""
-    if value is None:
-        return None
-    value = float(value)
-    if math.isnan(value):
-        return None
-    return value
+def _numbers(column: np.ndarray) -> List[Optional[float]]:
+    """A contract column as JSON numbers (NaN/None → null)."""
+    values = np.asarray(column, dtype=np.float64)
+    numbers = values.tolist()
+    for row in np.flatnonzero(np.isnan(values)).tolist():
+        numbers[row] = None
+    return numbers
 
 
 def _member(value) -> object:
@@ -38,8 +51,18 @@ def _member(value) -> object:
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     if isinstance(value, float):
-        return _number(value)
+        return None if math.isnan(value) else value
     return str(value)
+
+
+def _members(column: np.ndarray) -> List[object]:
+    """A level's member column as JSON scalars."""
+    if column.dtype.kind == "f":
+        return _numbers(column)
+    members = column.tolist()
+    if set(map(type, members)) <= _PLAIN:
+        return members
+    return [_member(member) for member in members]
 
 
 def _label_key(label) -> str:
@@ -49,29 +72,23 @@ def _label_key(label) -> str:
 def serialize_result(result) -> Dict[str, object]:
     """One :class:`~repro.core.result.AssessResult` as a JSON document.
 
-    Cells come out in the deterministic coordinate order of
-    ``result.cells()``, so two executions of the same statement —
-    served or direct, serial or parallel — serialize identically.
+    Rows come out in the coordinate order of ``result.cells()``, so two
+    executions of the same statement — served or direct, serial or
+    parallel — serialize identically.
     """
-    levels = list(result.cube.group_by.levels)
-    cells: List[Dict[str, object]] = []
-    for cell in result.cells():
-        cells.append({
-            "coordinate": {
-                level: _member(member)
-                for level, member in zip(levels, cell.coordinate)
-            },
-            "value": _number(cell.value),
-            "benchmark": _number(cell.benchmark),
-            "comparison": _number(cell.comparison),
-            "label": cell.label,
-        })
+    cube = result.cube
+    levels = list(cube.group_by.levels)
+    order = result.coordinate_order()
     return {
         "plan": result.plan_name,
         "levels": levels,
         "measure": result.measure,
         "rows": len(result),
-        "cells": cells,
+        "members": {level: _members(cube.coords[level][order]) for level in levels},
+        "value": _numbers(cube.measure(result.measure)[order]),
+        "benchmark": _numbers(cube.measure(result.benchmark_measure)[order]),
+        "comparison": _numbers(cube.measure(result.comparison_measure)[order]),
+        "label": cube.measure(result.label_measure)[order].tolist(),
         "label_counts": {
             _label_key(label): count
             for label, count in sorted(

@@ -1,5 +1,8 @@
 """Unit tests for the columnar table storage and key indexes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -124,3 +127,32 @@ class TestCatalog:
     def test_unknown_table(self):
         with pytest.raises(EngineError):
             Catalog().table("missing")
+
+
+class TestTableLifetime:
+    """A replaced table is freed by reference counting alone: nothing in
+    it closes a cycle, so it never waits for the cyclic collector."""
+
+    def test_replaced_fact_table_dies_at_once(self):
+        from repro import AssessSession
+        from repro.datagen import sales_engine
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = sales_engine(n_rows=500)
+            session = AssessSession(engine)
+            statement = "with SALES by month assess storeSales labels quartiles"
+            before = session.assess(statement)
+            name = engine.cube("SALES").star.fact_table
+            old = engine.catalog.table(name)
+            assert set(old.columns) == set(old.column_names)
+            columns = {column: old.columns[column] for column in old.column_names}
+            dead = weakref.ref(old)
+            del old
+            engine.catalog.register(Table(name, columns), replace=True)
+            assert dead() is None
+            assert session.assess(statement).cells() == before.cells()
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,7 +1,7 @@
 """Contract suite for the multi-tenant assess server.
 
 Every endpoint's 200 body and every error envelope is checked against
-the schema-v1 contract — structurally via the validators in
+the schema-v2 contract — structurally via the validators in
 ``tools/check_server_schema.py`` (the same code the CI smoke runs) and
 behaviorally via golden field assertions.  One live server per module
 (session reuse keeps the battery fast); tests only read, so sharing is
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
 
 import pytest
@@ -44,6 +45,7 @@ from check_server_schema import (  # noqa: E402
     validate_health_document,
     validate_metrics_text,
     validate_query_document,
+    validate_server_timing,
     validate_stats_document,
 )
 
@@ -71,11 +73,78 @@ def test_query_contract(server):
     assert document["schema_version"] == SCHEMA_VERSION
     assert document["tenant"] == "acme"
     assert document["levels"] == ["month"]
-    assert document["rows"] == len(document["cells"]) > 0
-    cell = document["cells"][0]
-    assert set(cell) == {"coordinate", "value", "benchmark", "comparison", "label"}
-    assert set(cell["coordinate"]) == {"month"}
-    assert sum(document["label_counts"].values()) == document["rows"]
+    assert "cells" not in document
+    rows = document["rows"]
+    assert rows > 0
+    assert set(document["members"]) == {"month"}
+    for column in (document["members"]["month"], document["value"],
+                   document["benchmark"], document["comparison"],
+                   document["label"]):
+        assert len(column) == rows
+    assert all(isinstance(member, str) for member in document["members"]["month"])
+    assert all(isinstance(value, float) for value in document["value"])
+    assert all(label is None or isinstance(label, str) for label in document["label"])
+    assert sum(document["label_counts"].values()) == rows
+
+
+@pytest.mark.parametrize("path, payload", [
+    ("/v1/query", {"tenant": "acme", "statement": SALES_STATEMENT}),
+    ("/v1/batch", {"tenant": "globex", "statements": [SSB_STATEMENT]}),
+])
+def test_server_timing_header(server, path, payload):
+    status, _, headers = http_post(f"{server.url}{path}", payload=payload)
+    assert status == 200
+    assert validate_server_timing(headers.get("Server-Timing")) == []
+
+
+class _CountingSocket:
+    """A socket proxy that counts the sends made through it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = 0
+
+    def send(self, data, *args):
+        self.sends += 1
+        return self._sock.send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sends += 1
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_response_leaves_in_one_send_on_a_nodelay_socket():
+    # A header send followed by a body send on a Nagle socket waits out
+    # the client's delayed ACK; the server must do neither.
+    seen = []
+    with running_server() as live:
+        handler = live.httpd.RequestHandlerClass
+
+        class Counting(handler):
+            def setup(self):
+                self.request = _CountingSocket(self.request)
+                super().setup()
+                nodelay = self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                seen.append((self.request, nodelay))
+
+        live.httpd.RequestHandlerClass = Counting
+        for path, payload in (
+            ("/v1/query", {"tenant": "demo", "statement": SALES_STATEMENT}),
+            ("/v1/batch", {"tenant": "demo",
+                           "statements": [SALES_STATEMENT, SALES_STATEMENT]}),
+        ):
+            status, _, _ = http_post(f"{live.url}{path}", payload=payload)
+            assert status == 200
+            connection, nodelay = seen[-1]
+            assert nodelay, "accepted connection lacks TCP_NODELAY"
+            assert connection.sends == 1, (
+                f"{path}: 200 response took {connection.sends} sends"
+            )
 
 
 def test_query_explicit_plan(server):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Validate server response documents against the schema-v1 contract.
+"""Validate server response documents against the schema-v2 contract.
 
 Two modes:
 
@@ -10,7 +10,8 @@ Two modes:
 * **Live mode** (``--live``): stand up an in-process
   :class:`repro.server.ReproServer` over a small demo tenant, hit every
   endpoint — success *and* error paths (bad JSON, unknown tenant, lint
-  failure, wrong method) — and validate each response body.  The CI
+  failure, wrong method) — and validate each response body, plus the
+  ``Server-Timing`` header of the query and batch 200s.  The CI
   server-smoke job runs this; exit 1 on the first violation so schema
   drift can't land silently.
 
@@ -65,62 +66,92 @@ def _check_version(violations, document, where):
     )
 
 
+COLUMNS = ("value", "benchmark", "comparison", "label")
+"""The per-row contract columns of a result, besides its members."""
+
+
+def _is_member(value):
+    return value is None or isinstance(value, (str, int, float))
+
+
 def validate_result_body(document, where="result"):
-    """The serialized assess result shared by query and batch items."""
+    """The serialized assess result shared by query and batch items.
+
+    Schema v2 is columnar: ``members`` holds one array per level, and
+    ``value``, ``benchmark``, ``comparison`` and ``label`` one array
+    each; every array is ``rows`` long.
+    """
     violations = []
     if not isinstance(document, dict):
         return [f"{where}: must be an object, got {_type_name(document)}"]
-    for key in ("plan", "levels", "measure", "rows", "cells",
+    for key in ("plan", "levels", "measure", "rows", "members", *COLUMNS,
                 "label_counts", "timings"):
         _check(violations, key in document, f"{where}: missing key {key!r}")
+    _check(violations, "cells" not in document,
+           f"{where}: schema v2 has no per-cell 'cells' array")
     if violations:
         return violations
     _check(violations, document["plan"] in PLAN_NAMES,
            f"{where}: plan must be one of {sorted(PLAN_NAMES)}, "
            f"got {document['plan']!r}")
     levels = document["levels"]
-    _check(violations,
-           isinstance(levels, list)
-           and all(isinstance(level, str) for level in levels),
-           f"{where}: levels must be an array of strings")
-    cells = document["cells"]
-    _check(violations, isinstance(cells, list),
-           f"{where}: cells must be an array")
-    _check(violations, document["rows"] == len(cells),
-           f"{where}: rows ({document['rows']!r}) != len(cells) ({len(cells)})")
-    if isinstance(cells, list) and isinstance(levels, list):
-        for index, cell in enumerate(cells):
-            cw = f"{where}.cells[{index}]"
-            if not isinstance(cell, dict):
-                violations.append(f"{cw}: must be an object")
+    levels_ok = isinstance(levels, list) and all(
+        isinstance(level, str) for level in levels
+    ) and len(set(levels)) == len(levels)
+    _check(violations, levels_ok,
+           f"{where}: levels must be an array of distinct strings")
+    rows = document["rows"]
+    if not (isinstance(rows, int) and not isinstance(rows, bool) and rows >= 0):
+        return violations + [f"{where}: rows must be a non-negative int"]
+    members = document["members"]
+    if not isinstance(members, dict):
+        violations.append(f"{where}: members must be an object")
+    else:
+        if levels_ok:
+            _check(violations, sorted(members) == sorted(levels),
+                   f"{where}: members keys {sorted(members)} != "
+                   f"levels {sorted(levels)} (one member array per level)")
+        for level, column in members.items():
+            mw = f"{where}.members[{level!r}]"
+            if not isinstance(column, list):
+                violations.append(f"{mw}: must be an array")
                 continue
-            for key in ("coordinate", "value", "benchmark",
-                        "comparison", "label"):
-                _check(violations, key in cell, f"{cw}: missing key {key!r}")
-            coordinate = cell.get("coordinate")
-            if isinstance(coordinate, dict):
-                _check(violations, sorted(coordinate) == sorted(levels),
-                       f"{cw}: coordinate keys {sorted(coordinate)} != "
-                       f"levels {sorted(levels)}")
-            else:
-                violations.append(f"{cw}: coordinate must be an object")
-            for key in ("value", "benchmark", "comparison"):
-                member = cell.get(key)
-                _check(violations, member is None or _is_number(member),
-                       f"{cw}: {key} must be a number or null")
-            label = cell.get("label")
-            _check(violations, label is None or isinstance(label, str),
-                   f"{cw}: label must be a string or null")
+            _check(violations, len(column) == rows,
+                   f"{mw}: length {len(column)} != rows ({rows})")
+            _check(violations, all(_is_member(member) for member in column),
+                   f"{mw}: members must be strings, numbers, booleans or null")
+    for key in COLUMNS:
+        column = document[key]
+        if not isinstance(column, list):
+            violations.append(f"{where}: {key} must be an array")
+            continue
+        _check(violations, len(column) == rows,
+               f"{where}: {key} length {len(column)} != rows ({rows})")
+        if key == "label":
+            _check(violations,
+                   all(label is None or isinstance(label, str) for label in column),
+                   f"{where}: label entries must be strings or null")
+        else:
+            _check(violations,
+                   all(value is None or _is_number(value) for value in column),
+                   f"{where}: {key} entries must be numbers or null")
     counts = document["label_counts"]
     if isinstance(counts, dict):
         _check(violations,
                all(isinstance(count, int) and count >= 0
                    for count in counts.values()),
                f"{where}: label_counts values must be non-negative ints")
-        if isinstance(cells, list) and not violations:
-            _check(violations, sum(counts.values()) == len(cells),
+        if not violations:
+            _check(violations, sum(counts.values()) == rows,
                    f"{where}: label_counts sum ({sum(counts.values())}) != "
-                   f"len(cells) ({len(cells)})")
+                   f"rows ({rows})")
+            labels = {}
+            for label in document["label"]:
+                key = "null" if label is None else label
+                labels[key] = labels.get(key, 0) + 1
+            _check(violations, labels == counts,
+                   f"{where}: label_counts {counts} do not count the "
+                   f"label array {labels}")
     else:
         violations.append(f"{where}: label_counts must be an object")
     timings = document["timings"]
@@ -324,6 +355,36 @@ VALIDATORS = {
 }
 
 
+SERVER_TIMING_PHASES = ("lint", "exec", "serialize", "encode")
+
+
+def validate_server_timing(header):
+    """A ``Server-Timing`` header of a ``/v1/query`` or ``/v1/batch`` 200:
+    ``lint``, ``exec``, ``serialize`` and ``encode``, in that order, each
+    with a non-negative ``dur`` in milliseconds."""
+    if not isinstance(header, str) or not header:
+        return ["Server-Timing: header missing"]
+    violations = []
+    names = []
+    for entry in header.split(","):
+        name, _, params = entry.strip().partition(";")
+        names.append(name)
+        duration = params.strip()
+        if not duration.startswith("dur="):
+            violations.append(f"Server-Timing: {name!r} has no dur")
+            continue
+        try:
+            milliseconds = float(duration[len("dur="):])
+        except ValueError:
+            violations.append(f"Server-Timing: {name!r} dur is not a number")
+            continue
+        _check(violations, milliseconds >= 0,
+               f"Server-Timing: {name!r} dur must be non-negative")
+    _check(violations, tuple(names) == SERVER_TIMING_PHASES,
+           f"Server-Timing: phases {names} != {list(SERVER_TIMING_PHASES)}")
+    return violations
+
+
 def validate_metrics_text(text):
     """The ``GET /v1/metrics`` Prometheus exposition (light checks)."""
     violations = []
@@ -396,18 +457,20 @@ def run_live_checks(rows=2000):
         status, body, _ = _http(f"{base}/v1/health")
         run_case("health", ([] if status == 200 else [f"status {status}"])
                  + validate_health_document(json.loads(body)))
-        status, body, _ = _http(
+        status, body, headers = _http(
             f"{base}/v1/query", "POST",
             payload={"tenant": "demo", "statement": statement},
         )
         run_case("query", ([] if status == 200 else [f"status {status}"])
-                 + validate_query_document(json.loads(body)))
-        status, body, _ = _http(
+                 + validate_query_document(json.loads(body))
+                 + validate_server_timing(headers.get("Server-Timing")))
+        status, body, headers = _http(
             f"{base}/v1/batch", "POST",
             payload={"tenant": "demo", "statements": [statement, statement]},
         )
         run_case("batch", ([] if status == 200 else [f"status {status}"])
-                 + validate_batch_document(json.loads(body)))
+                 + validate_batch_document(json.loads(body))
+                 + validate_server_timing(headers.get("Server-Timing")))
         status, body, _ = _http(
             f"{base}/v1/explain", "POST",
             payload={"tenant": "demo", "statement": statement, "plan": "NP"},
@@ -460,7 +523,7 @@ def main(argv=None):
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Validate server responses against the schema-v1 contract."
+        description="Validate server responses against the schema-v2 contract."
     )
     parser.add_argument("path", nargs="?", default=None,
                         help="response document to validate (default: stdin)")
@@ -480,7 +543,7 @@ def main(argv=None):
             for failure in failures:
                 print(f"  - {failure}")
             return 1
-        print("ok: every endpoint matches the schema-v1 contract")
+        print("ok: every endpoint matches the schema-v2 contract")
         return 0
 
     if args.endpoint is None:
